@@ -544,6 +544,8 @@ pub struct PipelinedUplink {
     rng: StdRng,
     stats: UplinkStats,
     ever_connected: bool,
+    /// Reused send buffer: one window of encoded batches per write.
+    wire: Vec<u8>,
 }
 
 impl fmt::Debug for PipelinedUplink {
@@ -571,6 +573,7 @@ impl PipelinedUplink {
             rng,
             stats: UplinkStats::default(),
             ever_connected: false,
+            wire: Vec::new(),
         }
     }
 
@@ -715,14 +718,16 @@ impl PipelinedUplink {
     fn pump(&mut self, drain: bool) -> Result<(), UplinkError> {
         loop {
             self.ensure_connected()?;
-            let mut broken = false;
+            let Some((stream, _)) = self.conn.as_mut() else {
+                continue;
+            };
+            // Everything the window admits goes out as one write: with
+            // Nagle off this is the only coalescing, and one segment
+            // per window beats one per frame.
+            self.wire.clear();
+            let first_new = self.inflight.len();
             while self.inflight.len() < self.credits {
                 let Some(mut batch) = self.queue.pop_front() else {
-                    break;
-                };
-                let Some((stream, _)) = self.conn.as_mut() else {
-                    self.queue.push_front(batch);
-                    broken = true;
                     break;
                 };
                 batch.attempts += 1;
@@ -730,21 +735,22 @@ impl PipelinedUplink {
                     self.stats.retransmits += 1;
                 }
                 self.stats.frames_sent += 1;
-                if stream
-                    .write_all(&batch.frame)
-                    .and_then(|()| stream.flush())
-                    .is_err()
-                {
-                    self.queue.push_front(batch);
-                    broken = true;
-                    break;
-                }
-                batch.sent_at = Instant::now();
+                self.wire.extend_from_slice(&batch.frame);
                 self.inflight.push_back(batch);
             }
-            if broken {
-                self.disconnect();
-                continue;
+            if !self.wire.is_empty() {
+                let written = stream.write_all(&self.wire).and_then(|()| stream.flush());
+                let sent_at = Instant::now();
+                for batch in self.inflight.iter_mut().skip(first_new) {
+                    batch.sent_at = sent_at;
+                }
+                if written.is_err() {
+                    // How much of the window reached the peer is
+                    // unknown: leave it in flight, and the reconnect
+                    // requeues it for retransmission, oldest first.
+                    self.disconnect();
+                    continue;
+                }
             }
             if self.queue.is_empty() && (!drain || self.inflight.is_empty()) {
                 return Ok(());
@@ -921,8 +927,9 @@ impl PipelinedUplink {
                             // Whatever the dead connection had in
                             // flight is unconfirmed: send it again,
                             // oldest first; dedup absorbs duplicates.
+                            // The pump counts each as a retransmit
+                            // when it goes back on the wire.
                             while let Some(b) = self.inflight.pop_back() {
-                                self.stats.retransmits += 1;
                                 self.queue.push_front(b);
                             }
                             self.conn = Some((stream, fb));

@@ -314,24 +314,31 @@ impl StepServer {
     }
 
     /// Releases every queued ack its discipline allows, appending the
-    /// `AckUpTo` messages in queue order (the harness twin of the
-    /// server's `release_ready`).
+    /// `AckUpTo` messages grouped by connection in ascending id, queue
+    /// order within each — the order the server's `release_ready`
+    /// writes them, one coalesced write per connection.
     fn release_ready(&mut self, replies: &mut Vec<(usize, Message)>) {
         let synced = self.collector.synced_cursor();
         let eager = self.discipline == AckDiscipline::Eager;
+        let mut released = Vec::new();
         self.pending.retain(|p| {
             if p.cursor > synced && !eager {
                 return true;
             }
-            replies.push((
+            released.push(*p);
+            false
+        });
+        // Stable: a connection's acks keep their queue order.
+        released.sort_by_key(|p| p.conn);
+        replies.extend(released.into_iter().map(|p| {
+            (
                 p.conn,
                 Message::AckUpTo {
                     sensor: p.sensor,
                     seq: p.seq,
                 },
-            ));
-            false
-        });
+            )
+        }));
     }
 
     /// Acks admitted but not yet released (awaiting fsync coverage).
@@ -353,5 +360,52 @@ impl StepServer {
     /// finish it for a report).
     pub fn into_collector(self) -> Collector {
         self.collector
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collector::GatewayConfig;
+    use crate::frame::encode_frame;
+    use crate::wal::FsyncPolicy;
+
+    fn batch(sensor: u16, seq: u64) -> Vec<u8> {
+        encode_frame(&Message::DataBatch {
+            sensor: SensorId(sensor),
+            first_seq: seq,
+            readings: vec![((seq + 1) * 300, vec![20.0])],
+        })
+    }
+
+    fn ack(conn: usize, sensor: u16, seq: u64) -> (usize, Message) {
+        let sensor = SensorId(sensor);
+        (conn, Message::AckUpTo { sensor, seq })
+    }
+
+    /// A group commit releases each connection's acks together, in
+    /// ascending connection id and queue order within one — the order
+    /// of the server's one coalesced write per connection — however
+    /// the batches interleaved on arrival.
+    #[test]
+    fn commit_releases_acks_grouped_by_connection() {
+        let dir =
+            std::env::temp_dir().join(format!("sentinet-harness-release-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = GatewayConfig::new(&dir);
+        config.checkpoint_every = 0;
+        // Only the explicit commit fsyncs, so every ack waits for it.
+        config.wal.fsync = FsyncPolicy::Batch(1_000_000);
+        let (collector, _) = Collector::open(config).expect("open collector");
+        let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+        let (a, b) = (server.connect(), server.connect());
+        for (conn, bytes) in [(b, batch(1, 0)), (a, batch(0, 0)), (b, batch(1, 1))] {
+            server.feed(conn, &bytes);
+            let event = server.step(conn).expect("step");
+            assert_eq!(event, StepEvent::Replies(Vec::new()), "acked before commit");
+        }
+        let replies = server.commit().expect("commit");
+        assert_eq!(replies, vec![ack(a, 0, 0), ack(b, 1, 0), ack(b, 1, 1)]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,6 +10,14 @@
 //! Every stream gets an explicit read timeout before its first read —
 //! a gateway thread must never block forever on a dead peer (enforced
 //! by the `socket-read-timeout` lint).
+//!
+//! Every TCP stream, dialled or accepted, also sets `TCP_NODELAY`. The
+//! v2 uplink writes a window of batches and then blocks on the
+//! cumulative ack, so Nagle's algorithm on one end would hold the
+//! next segment until the peer's delayed ACK fires (≈40 ms on Linux)
+//! on every flush. Both sides coalesce their own writes instead (one
+//! write per window, one per released ack group), which is what Nagle
+//! was buying. Unix-domain sockets have no Nagle and need nothing.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -84,6 +92,7 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
                 Ok(Stream::Tcp(s))
             }
             #[cfg(unix)]
@@ -104,7 +113,9 @@ impl Stream {
             #[cfg(not(unix))]
             return Err(unsupported(spec));
         }
-        TcpStream::connect(spec).map(Stream::Tcp)
+        let s = TcpStream::connect(spec)?;
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
     }
 
     /// Bounds how long a read may block.
@@ -179,4 +190,29 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(stream: &Stream) -> bool {
+        match stream {
+            Stream::Tcp(s) => s.nodelay().expect("query TCP_NODELAY"),
+            #[cfg(unix)]
+            Stream::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    /// Nagle's algorithm must be off on both ends of a TCP link: a
+    /// flush that waits for its ack would otherwise stall on the
+    /// peer's delayed ACK.
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let (listener, addr) = Listener::bind("127.0.0.1:0").expect("bind");
+        let dialled = Stream::connect(&addr).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        assert!(nodelay(&dialled), "connect side left Nagle on");
+        assert!(nodelay(&accepted), "accept side left Nagle on");
+    }
 }

@@ -495,29 +495,38 @@ impl Server {
 }
 
 /// Writes every queued `AckUpTo` whose WAL cursor a completed fsync
-/// now covers; the rest stay queued. Returns the wall nanoseconds
-/// spent writing (the ack stage of the bench breakdown).
+/// now covers; the rest stay queued. A connection's released acks go
+/// out in queue order as one write, connections in ascending id (the
+/// order `StepServer::release_ready` mirrors). Returns the wall
+/// nanoseconds spent writing (the ack stage of the bench breakdown).
 fn release_ready(
     collector: &Collector,
     writers: &mut BTreeMap<u64, Stream>,
     pending: &mut Vec<PendingAck>,
 ) -> u64 {
     let synced = collector.synced_cursor();
-    let mut spent = 0u64;
+    let mut released: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     pending.retain(|p| {
         if p.cursor > synced {
             return true;
         }
-        if let Some(w) = writers.get_mut(&p.conn) {
-            let start = std::time::Instant::now();
-            let _ = w.write_all(&encode_frame(&Message::AckUpTo {
+        released
+            .entry(p.conn)
+            .or_default()
+            .extend_from_slice(&encode_frame(&Message::AckUpTo {
                 sensor: p.sensor,
                 seq: p.seq,
             }));
-            spent = spent.saturating_add(start.elapsed().as_nanos() as u64);
-        }
         false
     });
+    let mut spent = 0u64;
+    for (conn, acks) in released {
+        if let Some(w) = writers.get_mut(&conn) {
+            let start = std::time::Instant::now();
+            let _ = w.write_all(&acks);
+            spent = spent.saturating_add(start.elapsed().as_nanos() as u64);
+        }
+    }
     spent
 }
 
@@ -587,12 +596,14 @@ fn reader_loop(
                 return;
             }
             Ok(n) => {
-                let decode_start = std::time::Instant::now();
+                let mut decode_start = std::time::Instant::now();
                 fb.feed(&buf[..n]);
                 loop {
                     // The decode clock covers framing + parse only;
                     // it stops before the (possibly blocking) queue
-                    // send so backpressure is not billed as decoding.
+                    // send and restarts after it, so backpressure is
+                    // not billed as decoding even when one read
+                    // carries a whole window of frames.
                     let next = fb.next_message();
                     decode_ns
                         .fetch_add(decode_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -603,6 +614,7 @@ fn reader_loop(
                             if events.send(Event::Msg(id, msg)).is_err() {
                                 return;
                             }
+                            decode_start = std::time::Instant::now();
                         }
                         Ok(None) => break,
                         Err(e) => {

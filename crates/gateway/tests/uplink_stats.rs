@@ -1,12 +1,16 @@
 //! Exact transport accounting under scripted adversity: a bare
 //! `TcpListener` plays the server role from a deterministic script
-//! (drop the connection here, swallow an ack there), and the
-//! `SensorUplink`'s [`UplinkStats`] must come out exactly right —
-//! every retransmit, reconnect and timeout attributed, nothing
-//! swallowed by the retry loop.
+//! (drop the connection here, swallow an ack there), and the uplink's
+//! [`UplinkStats`] must come out exactly right — every retransmit,
+//! reconnect and timeout attributed, nothing swallowed by the retry
+//! loop. The stop-and-wait `SensorUplink` and the pipelined
+//! `PipelinedUplink` (whose window goes out as one coalesced write)
+//! are both covered.
 
-use sentinet_gateway::frame::encode_frame;
-use sentinet_gateway::{FrameBuffer, Message, SensorUplink, UplinkConfig};
+use sentinet_gateway::frame::{encode_frame, PROTOCOL_VERSION};
+use sentinet_gateway::{
+    FrameBuffer, Message, PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig,
+};
 use sentinet_sim::SensorId;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -156,6 +160,110 @@ fn swallowed_acks_surface_as_timeouts_not_reconnects() {
     assert_eq!(stats.reconnects, 0, "the connection never dropped");
     assert_eq!(stats.nacks, 0);
     assert_eq!(stats.acked, 5);
+
+    uplink.finish().expect("fin/finack");
+    assert_eq!(server.join().expect("server thread"), 7);
+}
+
+/// A v2 server for one pipelined uplink. It grants `credits` in the
+/// `HelloAck`. On the first connection it waits for `window`
+/// `DataBatch` frames, acks only the first one, and drops the
+/// connection. On later connections it acks every batch as it
+/// arrives. Returns after `Fin`, yielding the total number of batches
+/// read.
+fn windowed_server(listener: TcpListener, credits: u32, window: u64) -> u64 {
+    let mut batch_reads = 0u64;
+    let mut buf = [0u8; 4096];
+    for (conn, stream) in listener.incoming().enumerate() {
+        let mut stream: TcpStream = stream.expect("accept");
+        let mut fb = FrameBuffer::new();
+        let mut first_batch = None;
+        'conn: loop {
+            let n = match stream.read(&mut buf) {
+                Ok(0) | Err(_) => break 'conn,
+                Ok(n) => n,
+            };
+            fb.feed(&buf[..n]);
+            while let Some(msg) = fb.next_message().expect("well-formed client frame") {
+                match msg {
+                    Message::Hello { .. } => stream
+                        .write_all(&encode_frame(&Message::HelloAck {
+                            version: PROTOCOL_VERSION,
+                            credits,
+                        }))
+                        .expect("write hello-ack"),
+                    Message::DataBatch {
+                        sensor,
+                        first_seq,
+                        readings,
+                    } => {
+                        batch_reads += 1;
+                        let ack = Message::AckUpTo {
+                            sensor,
+                            seq: first_seq + readings.len() as u64 - 1,
+                        };
+                        if conn > 0 {
+                            stream.write_all(&encode_frame(&ack)).expect("write ack");
+                            continue;
+                        }
+                        let first = first_batch.get_or_insert(ack);
+                        if batch_reads == window {
+                            stream.write_all(&encode_frame(first)).expect("write ack");
+                            // The whole window has been read, so the
+                            // close is a clean FIN behind the ack.
+                            break 'conn;
+                        }
+                    }
+                    Message::Fin => {
+                        stream
+                            .write_all(&encode_frame(&Message::FinAck))
+                            .expect("write finack");
+                        return batch_reads;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    unreachable!("listener closed before Fin");
+}
+
+#[test]
+fn pipelined_window_cut_after_first_ack_is_counted_exactly() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || windowed_server(listener, 8, 4));
+
+    let mut config = PipelinedConfig::new(addr);
+    // Long enough that no ack deadline fires: every retransmit below
+    // is owed to the dropped connection.
+    config.transport.ack_timeout = Duration::from_secs(5);
+    config.transport.backoff_base = Duration::from_millis(2);
+    config.transport.backoff_cap = Duration::from_millis(10);
+    config.transport.jitter_pct = 0;
+    config.batch_size = 4;
+    let mut uplink = PipelinedUplink::new(config);
+    // Two readings for each of four sensors stay buffered (batch size
+    // 4); the flush seals four batches and sends them as one window.
+    for i in 0..2u64 {
+        for sensor in 0..4 {
+            uplink
+                .send(SensorId(sensor), 300 * (i + 1), &[20.0])
+                .expect("buffer reading");
+        }
+    }
+    uplink.flush().expect("flush acked");
+
+    let stats = uplink.stats();
+    assert_eq!(stats.frames_sent, 7, "4 batches + 3 re-sent after the cut");
+    assert_eq!(
+        stats.retransmits, 3,
+        "each unacked batch of the window is re-sent once"
+    );
+    assert_eq!(stats.reconnects, 1, "one reconnect for the dropped window");
+    assert_eq!(stats.timeouts, 0, "the cut is seen as EOF, not a deadline");
+    assert_eq!(stats.nacks, 0);
+    assert_eq!(stats.acked, 4, "every batch retired exactly once");
 
     uplink.finish().expect("fin/finack");
     assert_eq!(server.join().expect("server thread"), 7);
