@@ -1,18 +1,14 @@
-//! Criterion throughput benches: serial `Pipeline` vs the sharded
-//! `Engine` on the same fixed-seed trace.
+//! Criterion throughput bench: the serial `Pipeline` over a 100-sensor
+//! fixed-seed trace.
 //!
-//! The engine at one shard runs inline (no threads) and must match the
-//! serial pipeline's cost; higher shard counts pay a per-window
-//! coordination toll that only amortises with multiple cores. The
-//! headline numbers for the paper-style table live in the
-//! `sentinet-bench` binary (`BENCH_engine.json`); these benches exist
-//! to catch regressions in either path.
+//! The headline numbers for the paper-style table live in the
+//! `sentinet-bench` binary (`BENCH_engine.json`); this bench exists to
+//! catch regressions in the detector's hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_core::{Pipeline, PipelineConfig};
-use sentinet_engine::Engine;
 use sentinet_sim::{gdi, simulate, Trace, DAY_S};
 use std::hint::black_box;
 
@@ -34,18 +30,6 @@ fn bench_throughput(c: &mut Criterion) {
             p.windows_processed()
         })
     });
-
-    for shards in [1usize, 4] {
-        let engine = Engine::new(PipelineConfig::default(), period, shards);
-        c.bench_function(&format!("throughput/engine_{shards}_shards"), |b| {
-            b.iter(|| {
-                engine
-                    .process_trace(black_box(&trace))
-                    .expect("healthy run")
-                    .windows_processed()
-            })
-        });
-    }
 }
 
 criterion_group!(benches, bench_throughput);

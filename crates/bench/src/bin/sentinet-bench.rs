@@ -1,18 +1,15 @@
-//! `sentinet-bench` — headline throughput table for the sharded
-//! engine, written as machine-readable JSON.
+//! `sentinet-bench` — headline throughput table for the detector and
+//! the durable gateway, written as machine-readable JSON.
 //!
 //! Usage: `cargo run --release -p sentinet-bench --bin sentinet-bench
 //! -- [out.json]` (default `BENCH_engine.json` in the current
 //! directory).
 //!
 //! For each network size (10/100/1000 sensors) the harness times the
-//! serial `sentinet_core::Pipeline` and the `sentinet_engine::Engine`
-//! at 1/2/4/8 shards over the same fixed-seed GDI-like trace, and
-//! reports windows/sec and delivered readings/sec (best of
-//! `REPS` runs, so transient noise doesn't pollute the table). The
-//! host core count is recorded alongside the numbers: shard speedups
-//! are only physically possible when `host_cpus > 1`, so a single-core
-//! run honestly shows the coordination overhead instead.
+//! serial `sentinet_core::Pipeline` over a fixed-seed GDI-like trace,
+//! and reports windows/sec and delivered readings/sec (best of `REPS`
+//! runs, so transient noise doesn't pollute the table). The host core
+//! count is recorded alongside the numbers.
 //!
 //! Trailing `ingest` rows time traces through the durable gateway —
 //! real loopback TCP, WAL append before every ack — under both wire
@@ -34,7 +31,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_core::{Pipeline, PipelineConfig};
-use sentinet_engine::Engine;
 use sentinet_gateway::{
     trace_to_raw, Collector, FsyncPolicy, GatewayConfig, PipelinedConfig, PipelinedUplink,
     SensorUplink, Server, ServerConfig, StageTimings, UplinkConfig, UplinkStats,
@@ -44,7 +40,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
 /// WAL budget for the retention-on ingest row, with segments sized so
 /// the budget spans several sealed segments.
@@ -67,7 +62,6 @@ struct Row {
     /// `Some` only for ingest rows: `"off"` for the stop-and-wait v1
     /// uplink, `"<batch>x<window>"` for the pipelined v2 uplink.
     batch: Option<String>,
-    shards: usize,
     readings: usize,
     windows: u64,
     seconds: f64,
@@ -263,38 +257,10 @@ fn main() {
             fsync: None,
             retention: None,
             batch: None,
-            shards: 0,
             readings: delivered,
             windows,
             seconds,
         });
-
-        for shards in SHARD_COUNTS {
-            let engine = Engine::new(PipelineConfig::default(), period, shards);
-            let (windows, seconds) = time_best(|| {
-                engine
-                    .process_trace(&trace)
-                    .expect("healthy run")
-                    .windows_processed()
-            });
-            eprintln!(
-                "  engine x{shards}: {:.3}s ({:.0} readings/s)",
-                seconds,
-                delivered as f64 / seconds
-            );
-            rows.push(Row {
-                sensors,
-                days,
-                mode: "engine".into(),
-                fsync: None,
-                retention: None,
-                batch: None,
-                shards,
-                readings: delivered,
-                windows,
-                seconds,
-            });
-        }
     }
 
     // Durable-ingest rows through the full gateway (loopback TCP +
@@ -347,7 +313,6 @@ fn main() {
             fsync: Some(fsync.to_string()),
             retention: Some(retention),
             batch: Some(batch),
-            shards: 0,
             readings: records.len(),
             windows,
             seconds,
@@ -359,9 +324,8 @@ fn main() {
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     json.push_str(
-        "  \"note\": \"best-of-reps wall time per cell; serial = sentinet_core::Pipeline, \
-         engine = sentinet_engine::Engine (bit-for-bit equivalent output); shard speedup \
-         over serial requires host_cpus > 1; ingest = durable gateway over loopback TCP \
+        "  \"note\": \"best-of-reps wall time per cell; serial = sentinet_core::Pipeline; \
+         ingest = durable gateway over loopback TCP \
          (WAL append before each ack) at the named fsync policy; batch = off for the \
          stop-and-wait v1 uplink, <batch>x<window> for the pipelined v2 uplink (DataBatch \
          frames under a credit window, cumulative AckUpTo released only after the covering \
@@ -394,14 +358,13 @@ fn main() {
             .unwrap_or_default();
         let _ = write!(
             json,
-            "    {{\"sensors\": {}, \"days\": {}, \"mode\": \"{}\", {fsync}{retention}{batch}\"shards\": {}, \
+            "    {{\"sensors\": {}, \"days\": {}, \"mode\": \"{}\", {fsync}{retention}{batch}\
              \"readings\": {}, \"windows\": {}, \"seconds\": {:.6}, \
              \"readings_per_sec\": {:.1}, \"windows_per_sec\": {:.1}, \
              \"speedup_vs_serial\": {:.3}}}",
             r.sensors,
             r.days,
             r.mode,
-            r.shards,
             r.readings,
             r.windows,
             r.seconds,

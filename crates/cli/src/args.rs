@@ -52,14 +52,6 @@ pub struct AnalyzeArgs {
     pub window: u32,
     /// Observable-mean trim fraction.
     pub trim: f64,
-    /// Worker shards for the sharded engine (1 = serial pipeline).
-    pub shards: usize,
-    /// Chaos-testing seed: inject a seeded fault plan (worker panics,
-    /// dropped/delayed replies) into the supervised engine. `None`
-    /// disables chaos.
-    pub chaos_seed: Option<u64>,
-    /// Restart budget per shard per window before quarantine.
-    pub max_shard_restarts: u32,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
@@ -122,9 +114,6 @@ pub struct ReplayWalArgs {
     pub trim: f64,
     /// Reorder watermark delay in stream seconds.
     pub watermark: u64,
-    /// Re-run the released stream through the sharded engine with this
-    /// many shards and verify bit-identical reports (1 skips).
-    pub shards: usize,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
@@ -288,8 +277,7 @@ USAGE:
   sentinet simulate <out.csv> [--days N] [--seed S] [--sensors K]
                     [--fault SENSOR:MODEL] [--attack COUNT:MODEL]
   sentinet analyze <trace.csv> [--period SECS] [--window SAMPLES]
-                    [--trim FRACTION] [--shards N] [--quiet]
-                    [--chaos-seed S] [--max-shard-restarts N]
+                    [--trim FRACTION] [--quiet]
   sentinet serve --wal-dir DIR [--bind HOST:PORT|unix:/path]
                     [--period SECS] [--window SAMPLES] [--trim FRACTION]
                     [--fsync never|batch:N|always] [--watermark SECS]
@@ -298,8 +286,7 @@ USAGE:
                     [--crash-after N] [--credit-window N] [--v1-only]
                     [--epoch N] [--quiet]
   sentinet replay-wal --wal-dir DIR [--period SECS] [--window SAMPLES]
-                    [--trim FRACTION] [--watermark SECS] [--shards N]
-                    [--quiet]
+                    [--trim FRACTION] [--watermark SECS] [--quiet]
   sentinet federate <trace.csv> --wal-root DIR [--partitions N]
                     [--standbys N] [--protocol v1|v2] [--period SECS]
                     [--window SAMPLES] [--trim FRACTION]
@@ -319,9 +306,7 @@ LIVE INGEST (serve / replay-wal):
   the durable collector until a client sends Fin: every accepted frame
   is WAL-appended before it is acked, so `kill -9` at any point (try
   --crash-after N) resumes to a bit-identical report on restart.
-  replay-wal rebuilds the report offline from a WAL directory;
-  --shards N > 1 additionally re-runs the released stream through the
-  supervised engine and verifies the reports match bit for bit.
+  replay-wal rebuilds the report offline from a WAL directory.
   --silence-deadline 0 disables liveness tracking.
   --wal-retain-bytes N bounds the WAL on disk: segments wholly covered
   by a durable checkpoint are deleted after the checkpoint commits, and
@@ -365,13 +350,6 @@ FEDERATION (federate):
   fence token persists beside the WAL, a stale restart fail-stops,
   and a client announcing a newer epoch turns the running collector
   into a zombie that NACKs every append with a typed rejection.
-
-CHAOS TESTING (analyze):
-  --chaos-seed S           inject a seeded, replayable fault plan
-                           (worker panics, dropped/delayed replies)
-                           into the supervised sharded engine
-  --max-shard-restarts N   per-window crash budget before a shard is
-                           quarantined (default 3)
 
 FAULT MODELS (simulate --fault):
   6:stuck=15,1        sensor 6 stuck at (15, 1)
@@ -519,9 +497,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 period: 300,
                 window: 12,
                 trim: 0.15,
-                shards: 1,
-                chaos_seed: None,
-                max_shard_restarts: 3,
                 quiet: false,
             };
             while let Some(flag) = it.next() {
@@ -541,23 +516,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                             .parse()
                             .map_err(|e| ParseError(format!("bad --trim: {e}")))?
                     }
-                    "--shards" => {
-                        parsed.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --shards: {e}")))?
-                    }
-                    "--chaos-seed" => {
-                        parsed.chaos_seed = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|e| ParseError(format!("bad --chaos-seed: {e}")))?,
-                        )
-                    }
-                    "--max-shard-restarts" => {
-                        parsed.max_shard_restarts = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --max-shard-restarts: {e}")))?
-                    }
                     "--quiet" => parsed.quiet = true,
                     other => return Err(ParseError(format!("unknown flag {other:?}"))),
                 }
@@ -566,9 +524,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 return Err(ParseError(
                     "--period/--window must be positive, --trim in [0, 0.5)".into(),
                 ));
-            }
-            if parsed.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
             }
             Ok(Command::Analyze(parsed))
         }
@@ -691,7 +646,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 window: 12,
                 trim: 0.15,
                 watermark: 1800,
-                shards: 1,
                 quiet: false,
             };
             while let Some(flag) = it.next() {
@@ -717,11 +671,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                             .parse()
                             .map_err(|e| ParseError(format!("bad --watermark: {e}")))?
                     }
-                    "--shards" => {
-                        parsed.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --shards: {e}")))?
-                    }
                     "--quiet" => parsed.quiet = true,
                     other => return Err(ParseError(format!("unknown flag {other:?}"))),
                 }
@@ -732,9 +681,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 return Err(ParseError(
                     "--period/--window must be positive, --trim in [0, 0.5)".into(),
                 ));
-            }
-            if parsed.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
             }
             Ok(Command::ReplayWal(parsed))
         }
@@ -1026,8 +972,7 @@ mod tests {
     #[test]
     fn analyze_flags() {
         match parse([
-            "analyze", "t.csv", "--period", "60", "--window", "15", "--trim", "0.1", "--shards",
-            "4", "--quiet",
+            "analyze", "t.csv", "--period", "60", "--window", "15", "--trim", "0.1", "--quiet",
         ])
         .unwrap()
         {
@@ -1035,50 +980,10 @@ mod tests {
                 assert_eq!(a.period, 60);
                 assert_eq!(a.window, 15);
                 assert!((a.trim - 0.1).abs() < 1e-12);
-                assert_eq!(a.shards, 4);
                 assert!(a.quiet);
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn analyze_chaos_flags() {
-        match parse(["analyze", "t.csv"]).unwrap() {
-            Command::Analyze(a) => {
-                assert_eq!(a.chaos_seed, None);
-                assert_eq!(a.max_shard_restarts, 3);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse([
-            "analyze",
-            "t.csv",
-            "--chaos-seed",
-            "99",
-            "--max-shard-restarts",
-            "5",
-        ])
-        .unwrap()
-        {
-            Command::Analyze(a) => {
-                assert_eq!(a.chaos_seed, Some(99));
-                assert_eq!(a.max_shard_restarts, 5);
-            }
-            other => panic!("{other:?}"),
-        }
-        let e = parse(["analyze", "t.csv", "--chaos-seed", "x"]).unwrap_err();
-        assert!(e.to_string().contains("chaos-seed"));
-    }
-
-    #[test]
-    fn analyze_shards_default_and_validation() {
-        match parse(["analyze", "t.csv"]).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.shards, 1),
-            other => panic!("{other:?}"),
-        }
-        let e = parse(["analyze", "t.csv", "--shards", "0"]).unwrap_err();
-        assert!(e.to_string().contains("shards"));
     }
 
     #[test]
@@ -1168,10 +1073,9 @@ mod tests {
 
     #[test]
     fn replay_wal_flags() {
-        match parse(["replay-wal", "--wal-dir", "w", "--shards", "4"]).unwrap() {
+        match parse(["replay-wal", "--wal-dir", "w"]).unwrap() {
             Command::ReplayWal(a) => {
                 assert_eq!(a.wal_dir, "w");
-                assert_eq!(a.shards, 4);
                 assert_eq!(a.watermark, 1800);
             }
             other => panic!("{other:?}"),
@@ -1180,10 +1084,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("wal-dir"));
-        assert!(parse(["replay-wal", "--wal-dir", "w", "--shards", "0"])
-            .unwrap_err()
-            .to_string()
-            .contains("shards"));
     }
 
     #[test]
@@ -1484,5 +1384,14 @@ mod tests {
         assert!(e.to_string().contains("unknown command"));
         let e = parse(["analyze", "x", "--trim", "0.9"]).unwrap_err();
         assert!(e.to_string().contains("trim"));
+        for argv in [
+            &["analyze", "x", "--shards", "2"][..],
+            &["analyze", "x", "--chaos-seed", "7"],
+            &["analyze", "x", "--max-shard-restarts", "3"],
+            &["replay-wal", "--wal-dir", "w", "--shards", "2"],
+        ] {
+            let e = parse(argv.iter().copied()).unwrap_err();
+            assert!(e.to_string().contains("unknown flag"), "{argv:?}: {e}");
+        }
     }
 }

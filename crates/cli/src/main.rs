@@ -11,8 +11,7 @@
 //!   frames arrive over a socket, are WAL-appended before being acked,
 //!   and a killed process resumes to a bit-identical report;
 //! - `sentinet replay-wal --wal-dir w` rebuilds that report offline
-//!   from the log alone (optionally cross-checking the sharded
-//!   engine).
+//!   from the log alone.
 
 mod args;
 
@@ -24,7 +23,6 @@ use sentinet_controller::{
     ProcessConfig, WireProtocol,
 };
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
-use sentinet_engine::{ChaosPlan, Engine, SupervisorConfig};
 use sentinet_gateway::{
     Collector, GatewayConfig, GatewayReport, Server, ServerConfig, UplinkConfig,
 };
@@ -141,46 +139,10 @@ fn run_analyze(a: AnalyzeArgs) -> Result<(), Box<dyn std::error::Error>> {
         observable_trim: a.trim,
         ..Default::default()
     };
-    // Both paths produce identical reports (the engine is bit-for-bit
-    // equivalent to the pipeline); --shards > 1 fans the per-sensor
-    // stages out to supervised worker threads, and --chaos-seed forces
-    // the supervised engine so the fault plan has workers to kill.
-    let (report, plan) = if a.shards > 1 || a.chaos_seed.is_some() {
-        let mut engine =
-            Engine::new(config, a.period, a.shards).with_supervisor(SupervisorConfig {
-                max_shard_restarts: a.max_shard_restarts,
-                ..SupervisorConfig::default()
-            });
-        if let Some(seed) = a.chaos_seed {
-            let windows = trace
-                .records()
-                .last()
-                .map(|r| r.time / (u64::from(a.window) * a.period))
-                .unwrap_or(1)
-                .max(1);
-            let chaos = ChaosPlan::seeded(seed, a.shards, windows, 4);
-            eprintln!(
-                "chaos: injecting {} fault(s) from seed {seed}",
-                chaos.faults.len()
-            );
-            engine = engine.with_chaos(chaos);
-        }
-        let run = engine.process_trace(&trace)?;
-        if let Some(degraded) = run.degraded() {
-            eprintln!("warning: {degraded}");
-        } else if !run.shard_restarts().is_empty() {
-            eprintln!(
-                "chaos: all crashes recovered exactly (restarts: {:?})",
-                run.shard_restarts()
-            );
-        }
-        (run.report(), run.recovery_plan())
-    } else {
-        let mut pipeline = Pipeline::new(config, a.period);
-        pipeline.process_trace(&trace);
-        (pipeline.report(), RecoveryPlan::from_pipeline(&pipeline))
-    };
-    print_pipeline_report(&report, &plan, a.quiet);
+    let mut pipeline = Pipeline::new(config, a.period);
+    pipeline.process_trace(&trace);
+    let plan = RecoveryPlan::from_pipeline(&pipeline);
+    print_pipeline_report(&pipeline.report(), &plan, a.quiet);
     Ok(())
 }
 
@@ -441,50 +403,12 @@ fn run_replay_wal(a: ReplayWalArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut config = gateway_config(&a.wal_dir, a.period, a.window, a.trim, a.watermark);
     // Offline replay must not rewrite the log's checkpoints.
     config.checkpoint_every = 0;
-    config.record_released = a.shards > 1;
     let (collector, info) = Collector::open(config)?;
     if let Some(cursor) = info.restored_from {
-        if a.shards > 1 {
-            // Retention deleted the checkpointed prefix, so the
-            // released stream starts mid-run and the engine would
-            // (correctly) diverge from the restored collector.
-            return Err(format!(
-                "wal was reclaimed under a retention budget (checkpoint at cursor \
-                 {cursor}); the released stream is incomplete, so the --shards \
-                 cross-check cannot run — re-run with --shards 1"
-            )
-            .into());
-        }
         eprintln!("restored from checkpoint at cursor {cursor}");
     }
     eprintln!("replayed {} record(s) from the wal", info.replayed);
     let report = collector.finish()?;
-    if let Some(trace) = &report.released {
-        // Cross-check: the sharded engine over the released stream
-        // must reproduce the collector's report bit for bit.
-        let engine = Engine::new(
-            PipelineConfig {
-                window_samples: a.window,
-                observable_trim: a.trim,
-                ..Default::default()
-            },
-            a.period,
-            a.shards,
-        )
-        .with_supervisor(SupervisorConfig::default());
-        let run = engine.process_trace(trace)?;
-        if format!("{}", run.report()) != format!("{}", report.pipeline) {
-            return Err(format!(
-                "engine replay with {} shards diverged from the collector's report",
-                a.shards
-            )
-            .into());
-        }
-        eprintln!(
-            "engine replay with {} shard(s): bit-identical report",
-            a.shards
-        );
-    }
     finish_gateway_report(&report, a.quiet);
     Ok(())
 }

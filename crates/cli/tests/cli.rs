@@ -161,3 +161,37 @@ fn simulate_rejects_out_of_range_fault_sensor() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
 }
+
+/// Runs `sentinet` with `args` and asserts it refuses `flag` as an
+/// unknown flag with the usage exit code, before touching any input.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let out = sentinet().args(args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("unknown flag \"{flag}\"")),
+        "{args:?}: {err}"
+    );
+}
+
+#[test]
+fn analyze_rejects_the_removed_shard_flags() {
+    let input = tmp("no-such-trace.csv");
+    let input = input.to_str().expect("utf-8 temp path");
+    assert_unknown_flag(&["analyze", input, "--shards", "2"], "--shards");
+    assert_unknown_flag(&["analyze", input, "--chaos-seed", "7"], "--chaos-seed");
+    assert_unknown_flag(
+        &["analyze", input, "--max-shard-restarts", "3"],
+        "--max-shard-restarts",
+    );
+}
+
+#[test]
+fn replay_wal_rejects_the_removed_shards_flag() {
+    let dir = tmp("no-such-wal-dir");
+    let dir = dir.to_str().expect("utf-8 temp path");
+    assert_unknown_flag(
+        &["replay-wal", "--wal-dir", dir, "--shards", "2"],
+        "--shards",
+    );
+}

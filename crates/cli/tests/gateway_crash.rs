@@ -193,7 +193,7 @@ fn resume_run(dir: &std::path::Path) -> String {
     rest
 }
 
-fn replay_wal(dir: &std::path::Path, shards: &str) -> String {
+fn replay_wal(dir: &std::path::Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_sentinet"))
         .args([
             "replay-wal",
@@ -201,8 +201,6 @@ fn replay_wal(dir: &std::path::Path, shards: &str) -> String {
             dir.to_str().unwrap(),
             "--watermark",
             &watermark(),
-            "--shards",
-            shards,
         ])
         .output()
         .expect("spawn replay-wal");
@@ -235,9 +233,8 @@ fn crash_after_abort_resumes_bit_identically() {
         "resumed report differs from uninterrupted run"
     );
 
-    // The WAL alone reproduces the same report, and the sharded engine
-    // agrees with it bit for bit.
-    let replayed = replay_wal(&dir, "2");
+    // The WAL alone reproduces the same report.
+    let replayed = replay_wal(&dir);
     assert_eq!(replayed, baseline, "replay-wal report differs");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -262,7 +259,7 @@ fn sigkill_mid_stream_resumes_bit_identically() {
         resumed, baseline,
         "resumed report differs from uninterrupted run"
     );
-    let replayed = replay_wal(&dir, "1");
+    let replayed = replay_wal(&dir);
     assert_eq!(replayed, baseline, "replay-wal report differs");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,8 +28,9 @@ use crate::federation::{
 };
 use crate::partition::PartitionId;
 use sentinet_gateway::{
-    decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultSpec,
-    FaultyVfs, FenceCheck, GatewayConfig, RecoveryInfo, StorageFault, Vfs, VfsOp, CHECKPOINT_FILE,
+    decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultyVfs,
+    FenceCheck, GatewayConfig, RecoveryInfo, StorageFault, StorageFaultSpec, Vfs, VfsOp,
+    CHECKPOINT_FILE,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::path::PathBuf;
@@ -489,7 +490,7 @@ impl PartitionBackend for InProcessBackend {
                     CollectorFault::Poison => {
                         // ENOSPC on the (after_records + 1)th WAL
                         // append: the collector fail-stops and NACKs.
-                        let plan = FaultPlan::new().with_fault(FaultSpec {
+                        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
                             path: String::new(),
                             op: VfsOp::Append,
                             nth: f.after_records + 1,

@@ -43,8 +43,8 @@ use crate::report::FederationEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sentinet_gateway::{
-    CutCheck, DeliverOutcome, FaultPlan, FaultSpec, FenceCheck, GatewayConfig, RejectCause,
-    StorageFault, VfsOp,
+    CutCheck, DeliverOutcome, FaultPlan, FenceCheck, GatewayConfig, RejectCause, StorageFault,
+    StorageFaultSpec, VfsOp,
 };
 use sentinet_sim::SensorId;
 use std::fmt;
@@ -383,7 +383,7 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
         };
         disk.push((
             rng.gen_range(0..config.partitions),
-            FaultPlan::new().with_fault(FaultSpec {
+            FaultPlan::new().with_fault(StorageFaultSpec {
                 path: String::new(),
                 op: if rng.gen_bool(0.5) {
                     VfsOp::Append

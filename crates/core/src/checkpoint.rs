@@ -1,19 +1,19 @@
 //! Checkpoint snapshots of per-sensor pipeline state.
 //!
-//! The sharded engine's supervisor checkpoints every
-//! [`SensorRuntime`](crate::SensorRuntime) at each window boundary so a
-//! crashed shard can be respawned and replayed without losing model
-//! state. A [`SensorSnapshot`] is plain data — the alarm filter's
-//! [`FilterSnapshot`], the `M_CE` [`EstimatorState`] (which carries the
-//! estimator's generation counter, keeping memo caches coherent across
-//! a restore), and the track/alarm history — so it crosses thread
-//! boundaries freely and can be serialized.
+//! The gateway's collector checkpoints every
+//! [`SensorRuntime`](crate::SensorRuntime) so a killed or failed-over
+//! collector resumes without losing model state. A [`SensorSnapshot`]
+//! is plain data — the alarm filter's [`FilterSnapshot`], the `M_CE`
+//! [`EstimatorState`] (which carries the estimator's generation
+//! counter, keeping memo caches coherent across a restore), and the
+//! track/alarm history — so it crosses thread boundaries freely and
+//! can be serialized.
 //!
 //! The durable wire format is the hand-rolled text codec below
 //! ([`encode_shard`]/[`decode_shard`]): floating-point fields are
 //! written as the hexadecimal IEEE-754 bit pattern (`f64::to_bits`), so
-//! a round-trip is bit-exact — the property the engine's kill-anywhere
-//! determinism proof rests on. The `serde` derives on the snapshot
+//! a round-trip is bit-exact — the property kill-anywhere recovery
+//! rests on. The `serde` derives on the snapshot
 //! types are the workspace's usual offline marker stubs (see
 //! `vendor/README.md`); they document intent but do no serialization.
 

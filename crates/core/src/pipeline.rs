@@ -20,8 +20,8 @@
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
 //! The pipeline composes the [`crate::runtime`] building blocks
-//! serially; the sharded `sentinet-engine` drives the same blocks from
-//! multiple threads. The hot path is allocation-free in steady state:
+//! serially; `sentinet-engine` drives the same blocks split across
+//! shards and a coordinator. The hot path is allocation-free in steady state:
 //! windows, their sample buffers, outcome alarm vectors, and the
 //! trimmed-mean working set are all recycled between windows.
 

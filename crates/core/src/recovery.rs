@@ -116,43 +116,6 @@ impl RecoveryAction {
     }
 }
 
-/// Degraded-mode report from a supervised run: which sensors were
-/// quarantined because their shard exceeded its restart budget, and how
-/// many times each shard was restarted along the way.
-///
-/// Produced by the sharded engine's supervisor and surfaced through the
-/// run report; [`RecoveryPlan::mask_quarantined`] folds it into the
-/// recovery policy so operators service the crashed shard's sensors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DegradedStatus {
-    /// Sensors excluded from voting after their shard was quarantined,
-    /// ordered by sensor id.
-    pub quarantined_sensors: Vec<SensorId>,
-    /// `(shard index, restart count)` for every shard that crashed at
-    /// least once, quarantined or not.
-    pub shard_restarts: Vec<(usize, u32)>,
-}
-
-impl std::fmt::Display for DegradedStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "degraded: quarantined sensors [")?;
-        for (i, s) in self.quarantined_sensors.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", s.0)?;
-        }
-        write!(f, "], shard restarts [")?;
-        for (i, (shard, n)) in self.shard_restarts.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{shard}×{n}")?;
-        }
-        write!(f, "]")
-    }
-}
-
 /// A full recovery plan: one action per sensor, derived from a
 /// pipeline's diagnoses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -191,21 +154,6 @@ impl RecoveryPlan {
             .filter(|(_, a)| !a.keeps_sensor())
             .map(|(id, _)| *id)
             .collect()
-    }
-
-    /// Folds a degraded-mode report into the plan: every quarantined
-    /// sensor is forced to [`RecoveryAction::MaskAndService`] — its
-    /// shard stopped contributing mid-run, so whatever diagnosis its
-    /// stale data produced, the sensor needs servicing before it can be
-    /// trusted again. Sensors the run never saw are appended.
-    pub fn mask_quarantined(&mut self, status: &DegradedStatus) {
-        for &sensor in &status.quarantined_sensors {
-            match self.actions.iter_mut().find(|(id, _)| *id == sensor) {
-                Some((_, action)) => *action = RecoveryAction::MaskAndService,
-                None => self.actions.push((sensor, RecoveryAction::MaskAndService)),
-            }
-        }
-        self.actions.sort_by_key(|(id, _)| *id);
     }
 }
 
@@ -285,31 +233,5 @@ mod tests {
     fn dimension_mismatch_panics() {
         RecoveryAction::Recalibrate { gains: vec![1.0] }
             .rehabilitate(&Reading::new(vec![1.0, 2.0]));
-    }
-
-    #[test]
-    fn quarantine_overrides_and_appends_actions() {
-        let mut plan = RecoveryPlan {
-            actions: vec![
-                (SensorId(0), RecoveryAction::None),
-                (
-                    SensorId(2),
-                    RecoveryAction::Recalibrate { gains: vec![1.1] },
-                ),
-            ],
-        };
-        let status = DegradedStatus {
-            quarantined_sensors: vec![SensorId(1), SensorId(2)],
-            shard_restarts: vec![(1, 4)],
-        };
-        plan.mask_quarantined(&status);
-        assert_eq!(plan.action(SensorId(2)), &RecoveryAction::MaskAndService);
-        assert_eq!(plan.action(SensorId(1)), &RecoveryAction::MaskAndService);
-        assert_eq!(plan.action(SensorId(0)), &RecoveryAction::None);
-        assert_eq!(plan.masked_sensors(), vec![SensorId(1), SensorId(2)]);
-        assert_eq!(
-            status.to_string(),
-            "degraded: quarantined sensors [1, 2], shard restarts [1×4]"
-        );
     }
 }

@@ -48,11 +48,6 @@ pub struct PipelineReport {
     pub network_attack: Option<AttackType>,
     /// Per-sensor summaries, ordered by sensor id.
     pub sensors: Vec<SensorSummary>,
-    /// Degraded-mode report from a supervised sharded run: `Some` only
-    /// when shards were quarantined. Always `None` for the serial
-    /// pipeline and for sharded runs that recovered fully, so healthy
-    /// reports stay comparable across execution modes.
-    pub degraded: Option<crate::recovery::DegradedStatus>,
 }
 
 impl PipelineReport {
@@ -89,9 +84,6 @@ impl fmt::Display for PipelineReport {
                 Diagnosis::Attack(a.clone())
             )?,
             None => writeln!(f, "network attack signature: none")?,
-        }
-        if let Some(degraded) = &self.degraded {
-            writeln!(f, "{degraded}")?;
         }
         for s in &self.sensors {
             writeln!(
@@ -152,7 +144,6 @@ impl Pipeline {
             key_states,
             network_attack: self.network_attack(),
             sensors,
-            degraded: None,
         }
     }
 }

@@ -11,10 +11,10 @@
 //!   network-level classification — which needs *all* sensors' votes
 //!   and must run on a single coordinator ([`GlobalModel`]).
 //!
-//! [`Pipeline`](crate::Pipeline) composes the two serially; the sharded
-//! engine (`sentinet-engine`) runs `SensorRuntime`s on worker threads
-//! and the `GlobalModel` on its coordinator. Both drive this exact code
-//! in the same order, which is what makes the engine's output
+//! [`Pipeline`](crate::Pipeline) composes the two serially;
+//! `sentinet-engine` splits them into shards holding `SensorRuntime`s
+//! and a coordinator holding the `GlobalModel`. Both drive this exact
+//! code in the same order, which is what makes the split's output
 //! bit-for-bit identical to the serial pipeline's.
 //!
 //! Classification queries are memoized: structural analyses are cached

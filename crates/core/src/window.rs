@@ -541,7 +541,7 @@ pub fn identify_states_with(
 /// winner and whether it holds the required strict majority; `None`
 /// when no sensor voted.
 ///
-/// Shared by [`identify_states_with`] and the sharded engine's
+/// Shared by [`identify_states_with`] and `sentinet-engine`'s
 /// coordinator so both vote identically.
 pub fn majority_vote(
     labels: &BTreeMap<SensorId, usize>,

@@ -1,5 +1,5 @@
-//! `sentinet-engine` — sharded multi-collector execution of the
-//! detection pipeline.
+//! `sentinet-engine` — the coordinator/shard split of the detection
+//! pipeline.
 //!
 //! The serial [`sentinet_core::Pipeline`] interleaves two kinds of
 //! per-window work:
@@ -11,89 +11,53 @@
 //!   identification, `M_CO`/`M_C`/`M_O` estimation, majority voting —
 //!   which need every sensor's vote ([`sentinet_core::GlobalModel`]).
 //!
-//! The [`Engine`] shards the per-sensor stages across `num_shards`
-//! worker threads (sensor *s* lives on shard `s mod num_shards` for
-//! its whole life) while a single coordinator runs the global stages.
-//! Per window the coordinator hands each shard a batched **label** job
+//! This crate splits the two along a message protocol: a coordinator
+//! ([`drive_trace`] / [`window_pass`]) runs the global stages and hands
+//! per-sensor work to shards through a [`ShardBackend`]. Per window
+//! the coordinator asks each shard for a batched **label** job
 //! (model-state snapshot + that shard's sensor representatives) and,
 //! on decisive windows, a batched **step** job; explicit **grow** jobs
-//! keep worker-side estimators sized to the coordinator's model-state
-//! slots.
+//! keep shard-side estimators sized to the coordinator's model-state
+//! slots. Sensor *s* lives on shard [`protocol::shard_of`]`(s, n)` for
+//! its whole life.
 //!
 //! The majority vote itself cannot be sharded: Eq. 4 elects the state
 //! backed by the most sensors *across the whole network*, and every
 //! subsequent stage (alarm generation, `M_CO`/`M_CE` updates) consumes
 //! the elected state — so the vote is a per-window barrier between the
-//! parallel label stage and the parallel step stage.
+//! label stage and the step stage.
 //!
 //! Because every per-sensor float operation happens in the same order
-//! on exactly one thread, and the global stages run unchanged on the
-//! coordinator, the engine's output is **bit-for-bit identical** to
-//! the serial pipeline at any shard count; `num_shards = 1` runs
-//! inline without spawning threads at all.
+//! inside exactly one [`protocol::ShardWorker`], and the global stages
+//! run unchanged on the coordinator, the output is **bit-for-bit
+//! identical** to the serial pipeline at any shard count and under any
+//! reply arrival order. The `xtask` shard-schedule model checker drives
+//! the *same* stage code under every worker/coordinator interleaving to
+//! check that claim.
 //!
-//! Multi-shard runs are **supervised** (see [`supervisor`]): each
-//! worker is checkpointed every window, a crashed worker is restored
-//! from its checkpoint and replayed, and a worker that keeps crashing
-//! is quarantined — the run then completes degraded
-//! ([`EngineRun::degraded`]) instead of aborting. The [`chaos`] module
-//! injects deterministic worker faults through the same seam so the
-//! recovery machinery is testable; the headline invariant — any fault
-//! plan within the restart budget yields output bit-identical to the
-//! uninterrupted serial pipeline — is checked by the `xtask` model
-//! checker's fault schedules.
-//!
-//! The worker/coordinator message protocol is public in [`protocol`],
-//! and the coordinator loop is generic over [`ShardBackend`], so the
-//! `xtask` shard-schedule model checker can drive the *same* stage
-//! code under every worker/coordinator interleaving and assert the
-//! majority-vote barrier yields bit-identical outcomes.
-//!
-//! # Examples
-//!
-//! ```
-//! use rand::SeedableRng;
-//! use sentinet_core::PipelineConfig;
-//! use sentinet_engine::Engine;
-//! use sentinet_sim::{gdi, simulate};
-//!
-//! let cfg = gdi::day_config();
-//! let trace = simulate(&cfg, &mut rand::rngs::StdRng::seed_from_u64(1));
-//! let engine = Engine::new(PipelineConfig::default(), cfg.sample_period, 2);
-//! let run = engine.process_trace(&trace).expect("workers healthy");
-//! assert!(!run.outcomes().is_empty());
-//! assert!(run.degraded().is_none());
-//! ```
+//! There is no threaded backend: the global stages around the vote
+//! barrier are most of the detector's time, so shards on worker threads
+//! ran slower than the serial pipeline at every measured size.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use sentinet_cluster::ModelStates;
-use sentinet_core::classify::{AttackType, Diagnosis};
 use sentinet_core::{
-    majority_vote, DegradedStatus, GlobalModel, ObservationWindow, PipelineConfig, PipelineReport,
-    RecoveryAction, RecoveryPlan, SensorRuntime, SensorSummary, StateSummary, TrackRecord,
-    WindowOutcome, WindowScratch, Windower,
+    majority_vote, GlobalModel, ObservationWindow, PipelineConfig, SensorRuntime, WindowOutcome,
+    WindowScratch, Windower,
 };
-use sentinet_hmm::OnlineHmmEstimator;
 use sentinet_sim::{SensorId, Trace};
 use std::collections::BTreeMap;
-use std::fmt;
-
-pub mod chaos;
-pub mod supervisor;
-
-pub use chaos::{corrupt_frames, corrupt_records, ChaosPlan, FaultKind, FaultPoint, FaultSpec};
-pub use supervisor::SupervisorConfig;
 
 pub mod protocol {
-    //! The worker/coordinator message protocol of the sharded engine.
+    //! The shard/coordinator message protocol.
     //!
-    //! One [`ShardWorker`] lives on each worker thread and owns the
-    //! [`SensorRuntime`]s of its shard. The coordinator sends [`Job`]s,
-    //! the worker answers with [`Reply`]s, and the coordinator folds
-    //! arrival-ordered replies back into the serial pipeline's shapes
-    //! via [`collect_labels`] / [`collect_steps`].
+    //! One [`ShardWorker`] per shard owns the [`SensorRuntime`]s of
+    //! that shard. The coordinator sends [`Job`]s, the worker answers
+    //! with [`Reply`]s, and the coordinator folds arrival-ordered
+    //! replies back into the serial pipeline's shapes via
+    //! [`collect_labels`] / [`collect_steps`].
     //!
     //! Everything here is deterministic given a delivery order, which
     //! is exactly what the `xtask` model checker exploits: it replays
@@ -104,9 +68,6 @@ pub mod protocol {
     use sentinet_core::{CheckpointError, SensorSnapshot};
 
     /// Work dispatched from the coordinator to one shard.
-    ///
-    /// `Clone` so the supervisor can keep a replay log and re-deliver
-    /// an in-flight job to a restarted worker.
     #[derive(Debug, Clone)]
     pub enum Job {
         /// Label each representative against a model-state snapshot.
@@ -132,10 +93,6 @@ pub mod protocol {
             /// New model-state slot count.
             num_slots: usize,
         },
-        /// Snapshot every sensor's state for the supervisor checkpoint.
-        Snapshot,
-        /// Hand the shard's sensors back and exit.
-        Finish,
     }
 
     /// A shard's answer to a [`Job`].
@@ -152,10 +109,6 @@ pub mod protocol {
             /// Sensors whose filtered alarm is raised after this window.
             filtered: Vec<SensorId>,
         },
-        /// Per-sensor checkpoints, answering [`Job::Snapshot`].
-        Snapshot(Vec<(SensorId, SensorSnapshot)>),
-        /// The shard's sensors, answering [`Job::Finish`].
-        Done(BTreeMap<SensorId, SensorRuntime>),
     }
 
     /// The shard that owns sensor `id` under `num_shards` shards.
@@ -163,9 +116,9 @@ pub mod protocol {
         id.0 as usize % num_shards
     }
 
-    /// The per-sensor half of the engine: executes [`Job`]s against the
-    /// shard's own [`SensorRuntime`]s. Used verbatim by the engine's
-    /// worker threads and by the `xtask` schedule explorer.
+    /// The per-sensor half of the split: executes [`Job`]s against the
+    /// shard's own [`SensorRuntime`]s. Used verbatim by the `xtask`
+    /// schedule explorer and the test suites' in-process shards.
     #[derive(Debug)]
     pub struct ShardWorker {
         config: PipelineConfig,
@@ -183,8 +136,7 @@ pub mod protocol {
         }
 
         /// Rebuilds a worker from checkpointed sensor state, as taken
-        /// by [`ShardWorker::snapshot`] — the supervisor's restart
-        /// path.
+        /// by [`ShardWorker::snapshot`].
         ///
         /// # Errors
         ///
@@ -212,8 +164,7 @@ pub mod protocol {
         }
 
         /// Executes one job. [`Job::Grow`] has no reply; every other
-        /// job answers with exactly one [`Reply`]. After [`Job::Finish`]
-        /// the worker is empty and should not be reused.
+        /// job answers with exactly one [`Reply`].
         pub fn handle(&mut self, job: Job) -> Option<Reply> {
             match job {
                 Job::Label { states, means } => {
@@ -252,8 +203,6 @@ pub mod protocol {
                     }
                     None
                 }
-                Job::Snapshot => Some(Reply::Snapshot(self.snapshot())),
-                Job::Finish => Some(Reply::Done(std::mem::take(&mut self.sensors))),
             }
         }
 
@@ -271,9 +220,9 @@ pub mod protocol {
     /// Folds label replies (in arrival order) into the serial
     /// pipeline's label map. Returns `None` if any sensor fell outside
     /// every active model state — the serial pipeline then drops the
-    /// whole window, so the engine must too — or if a reply is not a
-    /// [`Reply::Labels`] (protocol corruption; unreachable with the
-    /// engine's own workers).
+    /// whole window, so the coordinator must too — or if a reply is
+    /// not a [`Reply::Labels`] (protocol corruption; unreachable with
+    /// [`ShardWorker`] replies).
     ///
     /// The fold is insensitive to arrival order: labels land in a
     /// [`BTreeMap`] keyed by sensor. The model checker asserts this
@@ -296,7 +245,7 @@ pub mod protocol {
     /// alarm lists — the serial pipeline's iteration order. The final
     /// sort is what makes the fold arrival-order-insensitive; replies
     /// that are not [`Reply::Stepped`] are ignored (protocol
-    /// corruption; unreachable with the engine's own workers).
+    /// corruption; unreachable with [`ShardWorker`] replies).
     pub fn collect_steps(replies: Vec<Reply>) -> (Vec<SensorId>, Vec<SensorId>) {
         let mut raw_alarms = Vec::new();
         let mut filtered_alarms = Vec::new();
@@ -314,326 +263,94 @@ pub mod protocol {
     }
 }
 
-/// A failure of the shard protocol that the supervisor could not hide.
-///
-/// With the supervised backend these are edge conditions — worker
-/// crashes are absorbed by restart/quarantine — but the coordinator
-/// loop is typed to surface them instead of silently answering neutral
-/// values as the pre-supervisor engine did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// A worker vanished and could not be restored or quarantined.
-    WorkerLost {
-        /// The shard whose worker was lost.
-        shard: usize,
-    },
-    /// A reply violated the protocol (wrong variant for the barrier).
-    Protocol {
-        /// The offending shard.
-        shard: usize,
-        /// What the coordinator expected vs. saw.
-        what: String,
-    },
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::WorkerLost { shard } => {
-                write!(f, "shard {shard}: worker lost beyond recovery")
-            }
-            ShardError::Protocol { shard, what } => {
-                write!(f, "shard {shard}: protocol violation: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
-/// How the coordinator executes per-sensor work. The engine ships two
-/// implementations — inline (serial, `num_shards = 1`) and the
-/// supervised thread pool — and the `xtask` model checker adds a
-/// schedule-exploring third, all driven by the same [`window_pass`]
-/// coordinator code.
+/// How the coordinator executes per-sensor work. [`drive_trace`] and
+/// [`window_pass`] are generic over it, so every backend — the `xtask`
+/// schedule explorer, the test suites' in-process shards — runs the
+/// same coordinator code.
 pub trait ShardBackend {
-    /// Labels every representative; `Ok(None)` if any sensor falls
-    /// outside all active model states (the serial pipeline then drops
-    /// the whole window, so the engine must too).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
+    /// Labels every representative; `None` if any sensor falls outside
+    /// all active model states (the serial pipeline then drops the
+    /// whole window, so the coordinator must too).
     fn label(
         &mut self,
         states: &ModelStates,
         representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError>;
+    ) -> Option<BTreeMap<SensorId, usize>>;
 
     /// Runs the per-sensor step of a decisive window; returns the raw
     /// and filtered alarm lists in ascending sensor order (the serial
     /// pipeline's iteration order).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
     fn step(
         &mut self,
         window_index: u64,
         correct: usize,
         num_slots: usize,
         labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError>;
+    ) -> (Vec<SensorId>, Vec<SensorId>);
 
     /// Resizes every shard's estimators after model-state growth.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError>;
-}
-
-/// The single-shard backend: per-sensor stages run inline on the
-/// coordinator's thread, no channels, no allocation beyond the sensor
-/// map itself. This is the engine's no-chaos hot path.
-struct InlineBackend {
-    config: PipelineConfig,
-    sensors: BTreeMap<SensorId, SensorRuntime>,
-}
-
-impl ShardBackend for InlineBackend {
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
-        let mut labels = BTreeMap::new();
-        for (&id, mean) in representatives {
-            match states.nearest(mean) {
-                Some((label, _)) => {
-                    labels.insert(id, label);
-                }
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(labels))
-    }
-
-    fn step(
-        &mut self,
-        window_index: u64,
-        correct: usize,
-        num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let mut raw_alarms = Vec::new();
-        let mut filtered_alarms = Vec::new();
-        for (&id, &label) in labels {
-            let sensor = self
-                .sensors
-                .entry(id)
-                .or_insert_with(|| SensorRuntime::new(&self.config, num_slots));
-            let step = sensor.step(window_index, label, correct);
-            if step.raw {
-                raw_alarms.push(id);
-            }
-            if step.filtered {
-                filtered_alarms.push(id);
-            }
-        }
-        Ok((raw_alarms, filtered_alarms))
-    }
-
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
-        for s in self.sensors.values_mut() {
-            s.grow(num_slots);
-        }
-        Ok(())
-    }
-}
-
-/// Sharded multi-collector engine over one trace.
-///
-/// Construct once, then [`Engine::process_trace`] per trace. The
-/// engine is the batch counterpart to the streaming
-/// [`sentinet_core::Pipeline`]: it owns the shard pool for the
-/// duration of a trace and returns an [`EngineRun`] exposing the same
-/// post-run queries.
-#[derive(Debug, Clone)]
-pub struct Engine {
-    config: PipelineConfig,
-    sample_period: u64,
-    num_shards: usize,
-    supervisor: SupervisorConfig,
-    chaos: ChaosPlan,
-}
-
-impl Engine {
-    /// Creates an engine; `sample_period` as in
-    /// [`sentinet_core::Pipeline::new`], `num_shards ≥ 1` worker
-    /// shards (1 = inline serial execution, no threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid, `sample_period == 0`,
-    /// or `num_shards == 0`.
-    pub fn new(config: PipelineConfig, sample_period: u64, num_shards: usize) -> Self {
-        config.validate();
-        assert!(sample_period > 0, "sample period must be positive");
-        assert!(num_shards > 0, "need at least one shard");
-        Self {
-            config,
-            sample_period,
-            num_shards,
-            supervisor: SupervisorConfig::default(),
-            chaos: ChaosPlan::new(),
-        }
-    }
-
-    /// Replaces the supervisor tunables (restart budget, reply
-    /// timeout, backoff) used by multi-shard runs.
-    pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
-        self.supervisor = supervisor;
-        self
-    }
-
-    /// Arms a chaos plan: the listed faults are injected into worker
-    /// shards at the chosen windows. A non-empty plan forces the
-    /// supervised backend even at one shard, since faults need a
-    /// worker thread to kill.
-    pub fn with_chaos(mut self, chaos: ChaosPlan) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    /// The configured shard count.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Processes a whole trace and returns the completed run.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] only if a worker failed beyond what the
-    /// supervisor can recover or quarantine — crashes within the
-    /// restart budget are invisible here, and crashes beyond it
-    /// surface as [`EngineRun::degraded`], not as an error.
-    pub fn process_trace(&self, trace: &Trace) -> Result<EngineRun, ShardError> {
-        if self.num_shards == 1 && self.chaos.is_empty() {
-            let mut backend = InlineBackend {
-                config: self.config.clone(),
-                sensors: BTreeMap::new(),
-            };
-            let (global, outcomes) =
-                drive_trace(&self.config, self.sample_period, trace, &mut backend)?;
-            Ok(EngineRun {
-                global,
-                sensors: backend.sensors,
-                outcomes,
-                degraded: None,
-                shard_restarts: Vec::new(),
-            })
-        } else {
-            let mut backend = supervisor::SupervisedBackend::launch(
-                self.config.clone(),
-                self.supervisor.clone(),
-                self.chaos.clone(),
-                self.num_shards,
-            );
-            let (global, outcomes) =
-                drive_trace(&self.config, self.sample_period, trace, &mut backend)?;
-            let harvest = backend.finish()?;
-            Ok(EngineRun {
-                global,
-                sensors: harvest.sensors,
-                outcomes,
-                degraded: harvest.degraded,
-                shard_restarts: harvest.shard_restarts,
-            })
-        }
-    }
+    fn grow(&mut self, num_slots: usize);
 }
 
 /// The coordinator loop: windowing plus the global stages, with
-/// per-sensor stages delegated to `backend`. This is the exact loop
-/// [`Engine::process_trace`] runs; it is public so the `xtask`
-/// schedule explorer can drive it with a schedule-controlled backend.
-///
-/// # Errors
-///
-/// Propagates the backend's [`ShardError`]s.
+/// per-sensor stages delegated to `backend`. Over the same trace it
+/// yields exactly the serial pipeline's window outcomes.
 pub fn drive_trace(
     config: &PipelineConfig,
     sample_period: u64,
     trace: &Trace,
     backend: &mut impl ShardBackend,
-) -> Result<(GlobalModel, Vec<WindowOutcome>), ShardError> {
+) -> (GlobalModel, Vec<WindowOutcome>) {
     let mut global = GlobalModel::new(config.clone());
     let mut windower = Windower::new(config.window_samples as u64 * sample_period);
     let mut scratch = WindowScratch::new();
     let mut outcomes = Vec::new();
     for (time, sensor, reading) in trace.delivered() {
         for window in windower.push(time, sensor, reading.values()) {
-            if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window)? {
+            if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window) {
                 outcomes.push(o);
             }
             windower.recycle(window);
         }
     }
     if let Some(window) = windower.finish() {
-        if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window)? {
+        if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window) {
             outcomes.push(o);
         }
     }
-    Ok((global, outcomes))
+    (global, outcomes)
 }
 
 /// One window through the same stage order as the serial pipeline's
 /// `analyze_window`: bootstrap absorption, observable-state coverage,
-/// the parallel label stage, the majority-vote barrier, the parallel
-/// step stage, and model-state maintenance. `Ok(None)` means the
-/// window was dropped (bootstrap, indecisive vote, uncovered mean) —
-/// exactly when the serial pipeline drops it.
-///
-/// # Errors
-///
-/// Propagates the backend's [`ShardError`]s.
+/// the sharded label stage, the majority-vote barrier, the sharded
+/// step stage, and model-state maintenance. `None` means the window
+/// was dropped (bootstrap, indecisive vote, uncovered mean) — exactly
+/// when the serial pipeline drops it.
 pub fn window_pass(
     global: &mut GlobalModel,
     backend: &mut impl ShardBackend,
     scratch: &mut WindowScratch,
     window: &ObservationWindow,
-) -> Result<Option<WindowOutcome>, ShardError> {
+) -> Option<WindowOutcome> {
     if !global.absorb_bootstrap(window) {
-        return Ok(None);
+        return None;
     }
     let trim = global.config().observable_trim;
     let majority_fraction = global.config().majority_fraction;
     let mean = window.trimmed_mean_with(trim, scratch);
     if global.cover_window_mean(mean) {
-        backend.grow(global.num_slots())?;
+        backend.grow(global.num_slots());
     }
-    let Some(mean) = mean else {
-        return Ok(None);
-    };
+    let mean = mean?;
 
     let representatives = window.sensor_means();
     let (observable, labels) = {
-        let Some(states) = global.states() else {
-            return Ok(None);
-        };
-        let Some((observable, _)) = states.nearest(mean) else {
-            return Ok(None);
-        };
-        match backend.label(states, &representatives)? {
-            Some(labels) => (observable, labels),
-            None => return Ok(None),
-        }
+        let states = global.states()?;
+        let (observable, _) = states.nearest(mean)?;
+        (observable, backend.label(states, &representatives)?)
     };
-    let Some((correct, decisive)) = majority_vote(&labels, majority_fraction) else {
-        return Ok(None);
-    };
+    let (correct, decisive) = majority_vote(&labels, majority_fraction)?;
 
     if decisive {
         global.record_decisive(correct, observable);
@@ -642,7 +359,7 @@ pub fn window_pass(
     let window_index = global.windows_processed();
     let num_slots = global.num_slots();
     let (raw_alarms, filtered_alarms) = if decisive {
-        backend.step(window_index, correct, num_slots, &labels)?
+        backend.step(window_index, correct, num_slots, &labels)
     } else {
         (Vec::new(), Vec::new())
     };
@@ -650,10 +367,10 @@ pub fn window_pass(
     let points: Vec<Vec<f64>> = representatives.into_values().collect();
     let (cluster_events, grew) = global.finish_window(&points);
     if grew {
-        backend.grow(global.num_slots())?;
+        backend.grow(global.num_slots());
     }
 
-    Ok(Some(WindowOutcome {
+    Some(WindowOutcome {
         index: window_index,
         start: window.start,
         observable,
@@ -661,179 +378,158 @@ pub fn window_pass(
         raw_alarms,
         filtered_alarms,
         cluster_events,
-    }))
+    })
 }
 
-/// A completed engine run: every window outcome plus the final models,
-/// answering the same post-run queries as the serial pipeline.
-#[derive(Debug)]
-pub struct EngineRun {
-    global: GlobalModel,
-    sensors: BTreeMap<SensorId, SensorRuntime>,
-    outcomes: Vec<WindowOutcome>,
-    degraded: Option<DegradedStatus>,
-    shard_restarts: Vec<(usize, u32)>,
-}
+#[cfg(test)]
+mod tests {
+    use super::protocol::{collect_labels, collect_steps, shard_of, Job, Reply, ShardWorker};
+    use sentinet_cluster::{ClusterConfig, ModelStates};
+    use sentinet_core::PipelineConfig;
+    use sentinet_sim::SensorId;
 
-impl EngineRun {
-    /// Every processed window, in order.
-    pub fn outcomes(&self) -> &[WindowOutcome] {
-        &self.outcomes
+    fn ids(raw: &[u16]) -> Vec<SensorId> {
+        raw.iter().copied().map(SensorId).collect()
     }
 
-    /// Consumes the run, returning the outcomes.
-    pub fn into_outcomes(self) -> Vec<WindowOutcome> {
-        self.outcomes
+    fn step(labels: &[(u16, usize)], correct: usize) -> Job {
+        Job::Step {
+            window_index: 0,
+            correct,
+            num_slots: 2,
+            labels: labels.iter().map(|&(id, l)| (SensorId(id), l)).collect(),
+        }
     }
 
-    /// The global model (states, `M_CO`, histories).
-    pub fn global(&self) -> &GlobalModel {
-        &self.global
+    #[test]
+    fn shard_of_assigns_sensors_round_robin() {
+        for n in 1..=5 {
+            for id in 0..20u16 {
+                let shard = shard_of(SensorId(id), n);
+                assert!(shard < n);
+                assert_eq!(shard, id as usize % n);
+            }
+        }
     }
 
-    /// Number of windows fully processed (post-bootstrap).
-    pub fn windows_processed(&self) -> u64 {
-        self.global.windows_processed()
-    }
-
-    /// `Some` iff the supervisor quarantined at least one shard: the
-    /// listed sensors stopped being stepped (and voting) partway
-    /// through the run. A run that recovered every crash within budget
-    /// reports `None` here and is bit-identical to the serial
-    /// pipeline.
-    pub fn degraded(&self) -> Option<&DegradedStatus> {
-        self.degraded.as_ref()
-    }
-
-    /// `(shard, restart count)` for every shard the supervisor
-    /// respawned at least once, quarantined or not. Non-empty with
-    /// `degraded() == None` means every crash was recovered exactly.
-    pub fn shard_restarts(&self) -> &[(usize, u32)] {
-        &self.shard_restarts
-    }
-
-    /// Sensors seen so far.
-    pub fn sensor_ids(&self) -> Vec<SensorId> {
-        self.sensors.keys().copied().collect()
-    }
-
-    /// The per-sensor `M_CE` estimator.
-    pub fn m_ce(&self, sensor: SensorId) -> Option<&OnlineHmmEstimator> {
-        self.sensors.get(&sensor).map(SensorRuntime::m_ce)
-    }
-
-    /// The raw-alarm history of a sensor as `(window, raw)` pairs.
-    pub fn raw_alarm_history(&self, sensor: SensorId) -> Option<&[(u64, bool)]> {
-        self.sensors.get(&sensor).map(SensorRuntime::raw_history)
-    }
-
-    /// The error/attack tracks opened for a sensor.
-    pub fn tracks(&self, sensor: SensorId) -> Option<&[TrackRecord]> {
-        self.sensors.get(&sensor).map(SensorRuntime::tracks)
-    }
-
-    /// Whether a filtered alarm was ever raised for the sensor.
-    pub fn ever_alarmed(&self, sensor: SensorId) -> bool {
-        self.sensors
-            .get(&sensor)
-            .map(SensorRuntime::ever_alarmed)
-            .unwrap_or(false)
-    }
-
-    /// Memoized network-level verdict (see
-    /// [`sentinet_core::Pipeline::network_attack`]).
-    pub fn network_attack(&self) -> Option<AttackType> {
-        self.global.network_attack()
-    }
-
-    /// Classifies one sensor (see [`sentinet_core::Pipeline::classify`]).
-    pub fn classify(&self, sensor: SensorId) -> Diagnosis {
-        self.global.classify(self.sensors.get(&sensor))
-    }
-
-    /// Classifies one sensor with the verdict's confidence.
-    pub fn classify_with_confidence(&self, sensor: SensorId) -> (Diagnosis, f64) {
-        self.global
-            .classify_with_confidence(self.sensors.get(&sensor))
-    }
-
-    /// Classifies every sensor seen so far.
-    pub fn classify_all(&self) -> BTreeMap<SensorId, Diagnosis> {
-        self.sensors
-            .iter()
-            .map(|(&id, rt)| (id, self.global.classify(Some(rt))))
-            .collect()
-    }
-
-    /// The `(window, correct, observable)` decisive-window history.
-    pub fn state_history(&self) -> &[(u64, usize, usize)] {
-        self.global.state_history()
-    }
-
-    /// Builds the operator-facing snapshot, identical in content to
-    /// [`sentinet_core::Pipeline::report`] on the same trace — plus
-    /// the degraded-mode status when shards were quarantined.
-    pub fn report(&self) -> PipelineReport {
-        let key_states = match (self.global.states(), self.global.correct_model()) {
-            (Some(states), Some(m_c)) => m_c
-                .key_states(self.global.config().key_state_occupancy)
-                .into_iter()
-                .filter_map(|slot| {
-                    states.centroid_any(slot).map(|c| StateSummary {
-                        slot,
-                        centroid: c.to_vec(),
-                        occupancy: m_c.occupancy()[slot],
-                    })
-                })
-                .collect(),
-            _ => Vec::new(),
+    #[test]
+    fn label_job_answers_the_nearest_state_per_mean() {
+        let states = ModelStates::new(
+            vec![vec![12.0, 94.0], vec![31.0, 56.0]],
+            ClusterConfig::default(),
+        );
+        let mut worker = ShardWorker::new(PipelineConfig::default());
+        let reply = worker.handle(Job::Label {
+            states,
+            means: vec![
+                (SensorId(4), vec![30.0, 57.0]),
+                (SensorId(1), vec![13.0, 93.0]),
+            ],
+        });
+        let Some(Reply::Labels(labels)) = reply else {
+            panic!("label job must answer with labels: {reply:?}");
         };
-        let sensors = self
-            .sensors
-            .iter()
-            .map(|(&id, rt)| {
-                let hist = rt.raw_history();
-                let raw_alarm_rate = if hist.is_empty() {
-                    0.0
-                } else {
-                    hist.iter().filter(|(_, r)| *r).count() as f64 / hist.len() as f64
-                };
-                SensorSummary {
-                    sensor: id,
-                    diagnosis: self.global.classify(Some(rt)),
-                    raw_alarm_rate,
-                    tracks: rt.tracks().iter().map(|t| (t.opened, t.closed)).collect(),
-                }
-            })
-            .collect();
-        PipelineReport {
-            windows_processed: self.global.windows_processed(),
-            key_states,
-            network_attack: self.network_attack(),
-            sensors,
-            degraded: self.degraded.clone(),
+        assert_eq!(labels, vec![(SensorId(4), Some(1)), (SensorId(1), Some(0))]);
+        assert!(worker.sensors().is_empty(), "labelling creates no sensors");
+    }
+
+    #[test]
+    fn step_job_creates_sensors_and_raises_raw_alarms_on_disagreement() {
+        let mut worker = ShardWorker::new(PipelineConfig::default());
+        let reply = worker.handle(step(&[(2, 0), (5, 1), (8, 0)], 0));
+        let Some(Reply::Stepped { raw, .. }) = reply else {
+            panic!("step job must answer with alarms: {reply:?}");
+        };
+        assert_eq!(raw, ids(&[5]));
+        assert_eq!(
+            worker.sensors().keys().copied().collect::<Vec<_>>(),
+            ids(&[2, 5, 8])
+        );
+        assert_eq!(worker.sensors()[&SensorId(5)].raw_history(), &[(0, true)]);
+        assert_eq!(worker.sensors()[&SensorId(2)].raw_history(), &[(0, false)]);
+    }
+
+    #[test]
+    fn grow_job_has_no_reply_and_resizes_every_estimator() {
+        let mut worker = ShardWorker::new(PipelineConfig::default());
+        worker.handle(step(&[(0, 0), (3, 1)], 0));
+        assert!(worker.handle(Job::Grow { num_slots: 4 }).is_none());
+        for (id, rt) in worker.sensors() {
+            assert_eq!(rt.m_ce().num_states(), 4, "{id}");
         }
     }
 
-    /// Builds the recovery plan from the run's diagnoses, identical to
-    /// [`sentinet_core::RecoveryPlan::from_pipeline`] on the same
-    /// trace — except that quarantined sensors are forced to
-    /// [`RecoveryAction::MaskAndService`]: their shard stopped
-    /// contributing mid-run, so they need servicing regardless of what
-    /// their stale data says.
-    pub fn recovery_plan(&self) -> RecoveryPlan {
-        let actions = self
-            .sensors
-            .iter()
-            .map(|(&id, rt)| {
-                let d = self.global.classify(Some(rt));
-                (id, RecoveryAction::for_diagnosis(&d))
-            })
-            .collect();
-        let mut plan = RecoveryPlan { actions };
-        if let Some(degraded) = &self.degraded {
-            plan.mask_quarantined(degraded);
+    #[test]
+    fn snapshot_round_trip_rebuilds_the_same_worker() {
+        let config = PipelineConfig::default();
+        let mut worker = ShardWorker::new(config.clone());
+        for w in 0..6 {
+            worker.handle(Job::Step {
+                window_index: w,
+                correct: 0,
+                num_slots: 2,
+                labels: vec![(SensorId(1), 0), (SensorId(7), 1)],
+            });
         }
-        plan
+        let snap = worker.snapshot();
+        assert_eq!(
+            snap.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            ids(&[1, 7])
+        );
+        let restored = ShardWorker::from_snapshot(config, snap.clone()).expect("valid snapshot");
+        assert_eq!(restored.snapshot(), snap);
+        assert!(ShardWorker::new(PipelineConfig::default())
+            .snapshot()
+            .is_empty());
+    }
+
+    #[test]
+    fn collect_labels_is_insensitive_to_arrival_order() {
+        let replies = || {
+            vec![
+                Reply::Labels(vec![(SensorId(0), Some(1)), (SensorId(2), Some(0))]),
+                Reply::Labels(vec![(SensorId(1), Some(1))]),
+                Reply::Labels(vec![]),
+            ]
+        };
+        let forward = collect_labels(replies()).expect("every sensor covered");
+        let mut reversed = replies();
+        reversed.reverse();
+        assert_eq!(collect_labels(reversed), Some(forward.clone()));
+        assert_eq!(
+            forward.into_iter().collect::<Vec<_>>(),
+            vec![(SensorId(0), 1), (SensorId(1), 1), (SensorId(2), 0)]
+        );
+    }
+
+    #[test]
+    fn collect_labels_drops_the_window_when_any_sensor_is_uncovered() {
+        let replies = vec![
+            Reply::Labels(vec![(SensorId(0), Some(1))]),
+            Reply::Labels(vec![(SensorId(1), None), (SensorId(3), Some(0))]),
+        ];
+        assert_eq!(collect_labels(replies), None);
+    }
+
+    #[test]
+    fn collect_steps_merges_shards_into_ascending_sensor_order() {
+        let replies = vec![
+            Reply::Stepped {
+                raw: ids(&[3, 9]),
+                filtered: ids(&[9]),
+            },
+            Reply::Stepped {
+                raw: ids(&[0, 4]),
+                filtered: ids(&[]),
+            },
+            Reply::Stepped {
+                raw: ids(&[]),
+                filtered: ids(&[2]),
+            },
+        ];
+        let (raw, filtered) = collect_steps(replies);
+        assert_eq!(raw, ids(&[0, 3, 4, 9]));
+        assert_eq!(filtered, ids(&[2, 9]));
+        assert_eq!(collect_steps(Vec::new()), (Vec::new(), Vec::new()));
     }
 }

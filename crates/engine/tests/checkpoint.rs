@@ -4,64 +4,16 @@
 //! history — bit-for-bit, and a restored worker must continue exactly
 //! like the original.
 
+mod common;
+
+use common::LocalShards;
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{Pipeline, PipelineConfig, SensorRuntime};
-use sentinet_engine::protocol::{collect_labels, collect_steps, Job, Reply, ShardWorker};
-use sentinet_engine::{drive_trace, ShardBackend, ShardError};
+use sentinet_engine::drive_trace;
+use sentinet_engine::protocol::{Job, Reply, ShardWorker};
 use sentinet_inject::{inject_faults, FaultInjection, FaultModel};
 use sentinet_sim::{gdi, simulate, SensorId, Trace, DAY_S};
 use std::collections::BTreeMap;
-
-/// A trivially faithful one-worker backend: every job runs in-process,
-/// so the resulting `GlobalModel` and sensors are reachable directly.
-struct LocalBackend {
-    worker: ShardWorker,
-}
-
-impl ShardBackend for LocalBackend {
-    fn label(
-        &mut self,
-        states: &sentinet_cluster::ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
-        let means = representatives
-            .iter()
-            .map(|(&id, mean)| (id, mean.clone()))
-            .collect();
-        let reply = self
-            .worker
-            .handle(Job::Label {
-                states: states.clone(),
-                means,
-            })
-            .expect("label replies");
-        Ok(collect_labels(vec![reply]))
-    }
-
-    fn step(
-        &mut self,
-        window_index: u64,
-        correct: usize,
-        num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let reply = self
-            .worker
-            .handle(Job::Step {
-                window_index,
-                correct,
-                num_slots,
-                labels: labels.iter().map(|(&id, &l)| (id, l)).collect(),
-            })
-            .expect("step replies");
-        Ok(collect_steps(vec![reply]))
-    }
-
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
-        assert!(self.worker.handle(Job::Grow { num_slots }).is_none());
-        Ok(())
-    }
-}
 
 fn scenario() -> (Trace, u64) {
     let mut cfg = gdi::month_config();
@@ -92,17 +44,15 @@ fn restore_preserves_classification_and_alarm_outputs() {
     let mut pipeline = Pipeline::new(config.clone(), period);
     pipeline.process_trace(&trace);
 
-    let mut backend = LocalBackend {
-        worker: ShardWorker::new(config.clone()),
-    };
-    let (global, _) = drive_trace(&config, period, &trace, &mut backend).expect("local backend");
+    let mut backend = LocalShards::new(&config, 1);
+    let (global, _) = drive_trace(&config, period, &trace, &mut backend);
 
-    let shard = backend.worker.snapshot();
+    let shard = backend.workers[0].snapshot();
     let decoded = decode_shard(&encode_shard(&shard)).expect("codec round trip");
     assert_eq!(decoded, shard, "codec changed the snapshot");
 
     let restored_worker = ShardWorker::from_snapshot(config, decoded).expect("snapshots are valid");
-    let originals = backend.worker.into_sensors();
+    let originals = backend.into_sensors();
     let restored = restored_worker.into_sensors();
     assert_eq!(
         originals.keys().collect::<Vec<_>>(),
@@ -138,21 +88,15 @@ fn restored_worker_continues_bit_identically_mid_run() {
     let (trace, period) = scenario();
     let config = PipelineConfig::default();
 
-    let mut backend = LocalBackend {
-        worker: ShardWorker::new(config.clone()),
-    };
-    drive_trace(&config, period, &trace, &mut backend).expect("local backend");
+    let mut backend = LocalShards::new(&config, 1);
+    drive_trace(&config, period, &trace, &mut backend);
+    let mut worker = backend.workers.remove(0);
 
     // Restore mid-state, then step both workers through the same
     // additional windows: every reply must match.
-    let decoded = decode_shard(&encode_shard(&backend.worker.snapshot())).expect("round trip");
+    let decoded = decode_shard(&encode_shard(&worker.snapshot())).expect("round trip");
     let mut twin = ShardWorker::from_snapshot(config, decoded).expect("valid snapshots");
-    let ids: Vec<SensorId> = backend
-        .worker
-        .snapshot()
-        .iter()
-        .map(|(id, _)| *id)
-        .collect();
+    let ids: Vec<SensorId> = worker.snapshot().iter().map(|(id, _)| *id).collect();
     let start = 1000u64;
     for w in 0..8u64 {
         let labels: Vec<(SensorId, usize)> = ids
@@ -165,7 +109,7 @@ fn restored_worker_continues_bit_identically_mid_run() {
             num_slots: 2,
             labels,
         };
-        let (a, b) = (backend.worker.handle(job.clone()), twin.handle(job));
+        let (a, b) = (worker.handle(job.clone()), twin.handle(job));
         match (a, b) {
             (
                 Some(Reply::Stepped { raw, filtered }),
@@ -181,7 +125,7 @@ fn restored_worker_continues_bit_identically_mid_run() {
         }
     }
     let (a, b): (BTreeMap<_, SensorRuntime>, BTreeMap<_, SensorRuntime>) =
-        (backend.worker.into_sensors(), twin.into_sensors());
+        (worker.into_sensors(), twin.into_sensors());
     for (id, original) in &a {
         assert_eq!(original.m_ce(), b[id].m_ce(), "{id}: M_CE diverged");
         assert_eq!(original.tracks(), b[id].tracks(), "{id}: tracks diverged");

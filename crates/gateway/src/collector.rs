@@ -51,7 +51,7 @@ use crate::snapshot::{
 use crate::vfs::{StorageError, VfsOp};
 use crate::wal::{Wal, WalConfig, WalError, WalRecord};
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
-use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp, Trace, TraceRecord};
+use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -101,11 +101,6 @@ pub struct GatewayConfig {
     pub silence_deadline: Option<Timestamp>,
     /// Write a checkpoint every N WAL records (0 disables).
     pub checkpoint_every: u64,
-    /// Record the released stream as a [`Trace`] from the very first
-    /// record — including recovery replay, which happens inside
-    /// [`Collector::open`] before [`record_released_trace`]
-    /// (`Collector::record_released_trace`) could be called.
-    pub record_released: bool,
     /// Owner epoch this collector claims over its WAL directory. `0`
     /// disables fencing entirely (standalone collectors pay nothing).
     /// With a non-zero epoch, [`Collector::open`] refuses a directory
@@ -177,7 +172,6 @@ impl GatewayConfig {
             reorder: ReorderConfig::default(),
             silence_deadline: Some(3600),
             checkpoint_every: 256,
-            record_released: false,
             epoch: 0,
             fence: FenceCheck::Enforced,
             cut: CutCheck::Enforced,
@@ -403,8 +397,7 @@ pub struct RecoveryInfo {
     pub prewarmed: bool,
 }
 
-/// Current silence accounting (the gateway's degraded-mode surface,
-/// alongside the engine's `DegradedStatus`).
+/// Current silence accounting (the gateway's degraded-mode surface).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LivenessStatus {
     /// Sensors currently past their silence deadline, with the stream
@@ -489,11 +482,6 @@ pub struct GatewayReport {
     pub storage: StorageStatus,
     /// Recommended per-sensor recovery actions.
     pub plan: RecoveryPlan,
-    /// The complete released stream (present when recording was on —
-    /// see [`GatewayConfig::record_released`]). Unlike
-    /// [`Collector::released_trace`] mid-run, this includes the
-    /// records the final flush released.
-    pub released: Option<Trace>,
     /// Client-side transport counters (attempts, retransmits,
     /// timeouts, NACKs, reconnects), filled in by harnesses that own
     /// the uplink end of the run — `None` for server-only runs. Kept
@@ -523,7 +511,6 @@ pub struct Collector {
     liveness_watermark: Option<Timestamp>,
     episodes: usize,
     released_scratch: Vec<RawRecord>,
-    trace_log: Option<Vec<TraceRecord>>,
     budget_shed: usize,
     storage_rejects: usize,
     checkpoint_failures: usize,
@@ -718,7 +705,6 @@ impl Collector {
     fn fresh(config: GatewayConfig, wal: Wal) -> Self {
         let pipeline = Pipeline::new(config.pipeline.clone(), config.sample_period);
         let reorder = ReorderBuffer::new(config.reorder.clone());
-        let trace_log = config.record_released.then(Vec::new);
         Self {
             config,
             wal,
@@ -734,7 +720,6 @@ impl Collector {
             liveness_watermark: None,
             episodes: 0,
             released_scratch: Vec::new(),
-            trace_log,
             budget_shed: 0,
             storage_rejects: 0,
             checkpoint_failures: 0,
@@ -749,8 +734,8 @@ impl Collector {
     }
 
     /// Rebuilds a collector from a restore-point snapshot. Counters
-    /// excluded from the snapshot (retransmissions, storage health,
-    /// the released-trace log) start fresh.
+    /// excluded from the snapshot (retransmissions, storage health)
+    /// start fresh.
     fn from_snapshot(
         config: GatewayConfig,
         wal: Wal,
@@ -775,7 +760,6 @@ impl Collector {
                 )
             })
             .collect();
-        let trace_log = config.record_released.then(Vec::new);
         Ok(Self {
             config,
             wal,
@@ -791,7 +775,6 @@ impl Collector {
             liveness_watermark: None,
             episodes: snap.episodes,
             released_scratch: Vec::new(),
-            trace_log,
             budget_shed: 0,
             storage_rejects: 0,
             checkpoint_failures: 0,
@@ -830,13 +813,6 @@ impl Collector {
             silent: self.silent.iter().copied().collect(),
             episodes: self.episodes,
         }
-    }
-
-    /// Starts recording the released (post-reorder, pre-sanitize
-    /// accepted) stream as a [`Trace`], for re-running through the
-    /// sharded engine. Call before any records are delivered.
-    pub fn record_released_trace(&mut self) {
-        self.trace_log = Some(Vec::new());
     }
 
     /// The source half of a live range migration: cuts this
@@ -1560,9 +1536,6 @@ impl Collector {
                         self.pipeline.recycle_outcome(outcome);
                     }
                 }
-                if let Some(log) = &mut self.trace_log {
-                    log.push(record);
-                }
             }
             Err(e) => self.rejected.push(e),
         }
@@ -1704,14 +1677,6 @@ impl Collector {
         }
     }
 
-    /// The released trace recorded since
-    /// [`record_released_trace`](Collector::record_released_trace).
-    pub fn released_trace(&self) -> Option<Trace> {
-        self.trace_log
-            .as_ref()
-            .map(|records| Trace::from_records(records.clone()))
-    }
-
     /// Absolute WAL cursor: records ever logged, including any
     /// reclaimed prefix (the checkpoint cursor domain).
     pub fn wal_records(&self) -> u64 {
@@ -1752,14 +1717,12 @@ impl Collector {
         let liveness = self.liveness();
         let storage = self.storage_status();
         let plan = RecoveryPlan::from_pipeline(&self.pipeline);
-        let released = self.trace_log.take().map(Trace::from_records);
         Ok(GatewayReport {
             pipeline: self.pipeline.report(),
             ingest,
             liveness,
             storage,
             plan,
-            released,
             uplink: None,
         })
     }
@@ -1893,7 +1856,7 @@ fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, Gateway
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::vfs::{FaultPlan, FaultyVfs, StorageFault, StorageFaultSpec};
     use crate::wal::FsyncPolicy;
     use std::fs;
     use std::path::PathBuf;
@@ -2125,7 +2088,7 @@ mod tests {
         let expect = baseline("fsync-base", &records);
 
         let dir = tmpdir("fsync-fault");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: ".seg".into(),
             op: VfsOp::Fsync,
             nth: 30,
@@ -2231,7 +2194,7 @@ mod tests {
         // Every segment deletion fails: on-disk state is exactly a
         // crash between checkpoint rename-commit and the deletes.
         let dir = tmpdir("leftover");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: ".seg".into(),
             op: VfsOp::Remove,
             nth: 1,
@@ -2277,7 +2240,7 @@ mod tests {
         // can never reclaim: once the budget fills, deliveries are
         // NACKed as WalBudget, not silently dropped and never acked.
         let dir = tmpdir("shed");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: CHECKPOINT_FILE.into(),
             op: VfsOp::Rename,
             nth: 1,

@@ -21,6 +21,8 @@
 //! loop re-delivers anything unacknowledged on a fresh connection.
 
 use crate::crc::crc32;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fmt;
 
@@ -630,6 +632,61 @@ impl FrameBuffer {
     }
 }
 
+/// Wire-level corruption over already-encoded frames (opaque byte
+/// vectors — this function knows nothing of the gateway's codec, so
+/// it can corrupt any framed byte stream). Roughly `rate` of the
+/// frames are attacked, deterministically from `seed`, with one of:
+///
+/// * **truncated frame** — the tail is cut mid-record (a torn write
+///   or dropped carrier), leaving 1..len-1 bytes;
+/// * **flipped CRC byte** — one bit of the 4-byte CRC trailer flips,
+///   so the payload parses but the checksum must reject it;
+/// * **duplicated frame** — the frame is delivered twice back to
+///   back (a retransmission whose ack was lost).
+///
+/// Truncation and CRC flips *replace* the clean frame (the damage
+/// models a frame that never arrives intact), so consumers must treat
+/// them as connection-fatal losses to be re-delivered by retry.
+/// Empty frames pass through untouched.
+pub fn corrupt_frames(frames: &[Vec<u8>], seed: u64, rate: f64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(frames.len());
+    for frame in frames {
+        let corrupt = rng.gen::<f64>() < rate;
+        let pick = rng.gen_range(0usize..3);
+        if !corrupt || frame.is_empty() {
+            out.push(frame.clone());
+            continue;
+        }
+        match pick {
+            0 => {
+                // Torn tail: keep a strict, nonempty prefix (1-byte
+                // frames pass through — there is nothing to tear).
+                let keep = if frame.len() < 2 {
+                    frame.len()
+                } else {
+                    1 + rng.gen_range(0..frame.len() - 1)
+                };
+                out.push(frame[..keep].to_vec());
+            }
+            1 => {
+                // Flip one bit of the CRC trailer (last 4 bytes).
+                let mut bad = frame.clone();
+                let tail = bad.len().saturating_sub(4);
+                let at = tail + rng.gen_range(0..bad.len() - tail);
+                let bit = rng.gen_range(0u32..8);
+                bad[at] ^= 1 << bit;
+                out.push(bad);
+            }
+            _ => {
+                out.push(frame.clone());
+                out.push(frame.clone());
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,5 +965,68 @@ mod tests {
             assert_eq!(fb.next_message().unwrap().unwrap(), m);
         }
         assert_eq!(fb.pending(), 0);
+    }
+
+    #[test]
+    fn corrupt_frames_is_deterministic_and_hits_every_mode() {
+        let frames: Vec<Vec<u8>> = (0..200u32)
+            .map(|i| i.to_le_bytes().iter().cycle().take(24).copied().collect())
+            .collect();
+        let a = corrupt_frames(&frames, 11, 0.5);
+        let b = corrupt_frames(&frames, 11, 0.5);
+        assert_eq!(a, b, "same seed, same corruption");
+        assert_eq!(corrupt_frames(&frames, 11, 0.0), frames, "zero rate");
+
+        let clean: std::collections::BTreeSet<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        let truncated = a.iter().filter(|f| f.len() < 24 && !f.is_empty()).count();
+        let flipped = a
+            .iter()
+            .filter(|f| f.len() == 24 && !clean.contains(f.as_slice()))
+            .count();
+        assert!(truncated > 0, "no torn frames injected");
+        assert!(flipped > 0, "no CRC flips injected");
+        assert!(a.len() > frames.len(), "no duplicate frames injected");
+        // Flips touch only the 4-byte CRC trailer.
+        for f in a.iter().filter(|f| f.len() == 24) {
+            if let Some(orig) = frames.iter().find(|o| o[..20] == f[..20]) {
+                let diff = orig.iter().zip(f.iter()).filter(|(x, y)| x != y).count();
+                assert!(diff <= 1, "at most one flipped byte");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_frames_passes_empty_frames_through() {
+        let frames = vec![Vec::new(), vec![7u8; 12], Vec::new()];
+        let out = corrupt_frames(&frames, 5, 1.0);
+        assert!(out.first().is_some_and(Vec::is_empty));
+        assert!(out.last().is_some_and(Vec::is_empty));
+        assert_eq!(out.iter().filter(|f| f.is_empty()).count(), 2);
+    }
+
+    #[test]
+    fn corrupted_frames_never_decode_as_another_message() {
+        let messages: Vec<Message> = (0..120u64)
+            .map(|i| data((i % 7) as u16, i, 300 * i, vec![i as f64, -1.5]))
+            .collect();
+        let frames: Vec<Vec<u8>> = messages.iter().map(encode_frame).collect();
+        let (mut intact, mut torn, mut rejected) = (0, 0, 0);
+        for frame in corrupt_frames(&frames, 23, 1.0) {
+            let mut fb = FrameBuffer::new();
+            fb.feed(&frame);
+            match fb.next_message() {
+                Ok(Some(m)) => {
+                    assert!(messages.contains(&m), "decoded a forged message {m:?}");
+                    intact += 1;
+                }
+                Ok(None) => torn += 1,
+                Err(FrameError::BadCrc { .. }) => rejected += 1,
+                Err(e) => panic!("unexpected decode error {e:?}"),
+            }
+        }
+        // At rate 1.0 only duplicated frames arrive intact, in pairs.
+        assert!(intact > 0 && torn > 0 && rejected > 0);
+        assert_eq!(intact % 2, 0);
+        assert_eq!(intact / 2 + torn + rejected, frames.len());
     }
 }

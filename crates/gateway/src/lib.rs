@@ -71,6 +71,6 @@ pub use snapshot::{
     decode_collector, encode_collector, merge_snapshot, split_snapshot, CollectorSnapshot,
 };
 pub use vfs::{
-    FaultPlan, FaultSpec, FaultyVfs, RealVfs, StorageError, StorageFault, VFile, Vfs, VfsOp,
+    FaultPlan, FaultyVfs, RealVfs, StorageError, StorageFault, StorageFaultSpec, VFile, Vfs, VfsOp,
 };
 pub use wal::{FsyncPolicy, ReclaimPlan, SegmentInfo, Wal, WalConfig, WalError, WalRecord};

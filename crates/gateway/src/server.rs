@@ -1,7 +1,7 @@
 //! The gateway daemon: socket front end for the [`Collector`].
 //!
-//! Threading model (the gateway shares the engine's thread-spawning
-//! privilege — see the `thread-spawn` lint):
+//! Threading model (the gateway is the one crate allowed to spawn
+//! threads — see the `thread-spawn` lint):
 //!
 //! * an **accept thread** polls the listener non-blocking, spawning one
 //!   **reader thread** per connection;

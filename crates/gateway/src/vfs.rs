@@ -4,10 +4,9 @@
 //! file — flows through the [`Vfs`]/[`VFile`] trait pair. Production
 //! uses [`RealVfs`], a zero-cost veneer over `std::fs`. Tests use
 //! [`FaultyVfs`], which injects faults at *operation coordinates*: the
-//! nth append/fsync/rename/… touching a named path, mirroring the
-//! shard/window/point coordinates of `sentinet_engine`'s chaos plans.
-//! A fault plan is data, so a failing schedule found by the seeded
-//! sweep can be replayed exactly.
+//! nth append/fsync/rename/… touching a named path. A fault plan is
+//! data, so a failing schedule found by the seeded sweep can be
+//! replayed exactly.
 //!
 //! The fault catalogue covers the storage pathologies the recovery
 //! design must survive (§13 of `DESIGN.md`):
@@ -293,7 +292,7 @@ pub enum StorageFault {
 /// One scheduled fault: the `nth` (1-based) operation of kind `op`
 /// whose path ends with `path` fires `kind`, `count` times.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSpec {
+pub struct StorageFaultSpec {
     /// Path suffix to match (e.g. a file name like `wal-00000002.seg`,
     /// or `""` to match every path).
     pub path: String,
@@ -308,15 +307,14 @@ pub struct FaultSpec {
     pub count: u32,
 }
 
-/// A deterministic schedule of storage faults, mirroring
-/// `sentinet_engine`'s chaos plans: a plan is plain data, built
-/// explicitly with [`FaultPlan::with_fault`] or drawn from a seed with
-/// [`FaultPlan::seeded`], and injected by wrapping the real storage in
-/// a [`FaultyVfs`].
+/// A deterministic schedule of storage faults: a plan is plain data,
+/// built explicitly with [`FaultPlan::with_fault`] or drawn from a seed
+/// with [`FaultPlan::seeded`], and injected by wrapping the real
+/// storage in a [`FaultyVfs`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The scheduled faults.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<StorageFaultSpec>,
 }
 
 impl FaultPlan {
@@ -332,7 +330,7 @@ impl FaultPlan {
 
     /// Adds one fault to the schedule.
     #[must_use]
-    pub fn with_fault(mut self, spec: FaultSpec) -> Self {
+    pub fn with_fault(mut self, spec: StorageFaultSpec) -> Self {
         self.faults.push(spec);
         self
     }
@@ -371,7 +369,7 @@ impl FaultPlan {
                     ms: rng.gen_range(1..10),
                 },
             };
-            plan = plan.with_fault(FaultSpec {
+            plan = plan.with_fault(StorageFaultSpec {
                 path,
                 op,
                 nth: rng.gen_range(1..20),
@@ -652,7 +650,7 @@ mod tests {
     #[test]
     fn faults_fire_at_their_coordinates_and_count_down() {
         let dir = tmpdir("coords");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: "x.bin".into(),
             op: VfsOp::Append,
             nth: 2,
@@ -677,7 +675,7 @@ mod tests {
     #[test]
     fn torn_write_persists_exactly_the_prefix() {
         let dir = tmpdir("torn");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: "t.bin".into(),
             op: VfsOp::Append,
             nth: 1,
@@ -696,21 +694,21 @@ mod tests {
     fn fsync_rename_and_read_faults_fail_typed() {
         let dir = tmpdir("ops");
         let plan = FaultPlan::new()
-            .with_fault(FaultSpec {
+            .with_fault(StorageFaultSpec {
                 path: "f.bin".into(),
                 op: VfsOp::Fsync,
                 nth: 1,
                 kind: StorageFault::FsyncFail,
                 count: 1,
             })
-            .with_fault(FaultSpec {
+            .with_fault(StorageFaultSpec {
                 path: "dst.bin".into(),
                 op: VfsOp::Rename,
                 nth: 1,
                 kind: StorageFault::Enospc,
                 count: 1,
             })
-            .with_fault(FaultSpec {
+            .with_fault(StorageFaultSpec {
                 path: "f.bin".into(),
                 op: VfsOp::Read,
                 nth: 1,
@@ -734,7 +732,7 @@ mod tests {
     #[test]
     fn slow_fault_delays_but_succeeds() {
         let dir = tmpdir("slow");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: "s.bin".into(),
             op: VfsOp::Append,
             nth: 1,

@@ -891,7 +891,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::vfs::{FaultPlan, FaultyVfs, StorageFault, StorageFaultSpec};
     use std::fs;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1025,13 +1025,15 @@ mod tests {
         let dir = tmpdir("many-poison");
         let mut config = WalConfig::new(&dir);
         config.fsync = FsyncPolicy::Always;
-        config.vfs = Arc::new(FaultyVfs::new(FaultPlan::new().with_fault(FaultSpec {
-            path: ".seg".into(),
-            op: VfsOp::Fsync,
-            nth: 1,
-            kind: StorageFault::FsyncFail,
-            count: 1,
-        })));
+        config.vfs = Arc::new(FaultyVfs::new(FaultPlan::new().with_fault(
+            StorageFaultSpec {
+                path: ".seg".into(),
+                op: VfsOp::Fsync,
+                nth: 1,
+                kind: StorageFault::FsyncFail,
+                count: 1,
+            },
+        )));
         let (mut wal, _) = Wal::open(config, None).unwrap();
         let records: Vec<WalRecord> = (0..3).map(|i| rec(1, i, 300 * (i + 1), 1.0)).collect();
         let err = wal.append_many(&records).unwrap_err();
@@ -1164,7 +1166,7 @@ mod tests {
     #[test]
     fn failed_fsync_poisons_the_log() {
         let dir = tmpdir("fsyncgate");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: segment_name(1),
             op: crate::vfs::VfsOp::Fsync,
             nth: 3,
@@ -1201,7 +1203,7 @@ mod tests {
     #[test]
     fn torn_append_poisons_and_recovery_truncates() {
         let dir = tmpdir("torn-append");
-        let plan = FaultPlan::new().with_fault(FaultSpec {
+        let plan = FaultPlan::new().with_fault(StorageFaultSpec {
             path: segment_name(1),
             op: crate::vfs::VfsOp::Append,
             nth: 3,

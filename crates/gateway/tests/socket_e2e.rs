@@ -2,14 +2,13 @@
 //! side, a retrying `SensorUplink` on the other, over loopback TCP and
 //! Unix sockets. A seeded lossy delivery schedule driven through the
 //! wire must land on the same bit-identical report as in-process
-//! in-order delivery, wire-level corruption (via the engine's chaos
-//! frame corrupter) must be rejected without polluting the pipeline,
+//! in-order delivery, wire-level corruption (via the frame codec's
+//! `corrupt_frames`) must be rejected without polluting the pipeline,
 //! and the whole path must survive a long soak.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_engine::corrupt_frames;
-use sentinet_gateway::frame::encode_frame;
+use sentinet_gateway::frame::{corrupt_frames, encode_frame};
 use sentinet_gateway::server::hello_frame;
 use sentinet_gateway::{
     delivery_schedule, drive_uplink, trace_to_raw, Collector, FrameBuffer, FrameError, FsyncPolicy,

@@ -40,7 +40,9 @@
 #![forbid(unsafe_code)]
 
 mod attacks;
+mod corrupt;
 mod faults;
 
 pub use attacks::{first_k_sensors, inject_attacks, AttackInjection, AttackModel};
+pub use corrupt::corrupt_records;
 pub use faults::{inject_faults, FaultInjection, FaultModel};

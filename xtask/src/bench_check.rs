@@ -1,6 +1,6 @@
 //! Schema validation for `BENCH_engine.json`.
 //!
-//! The bench binary (`crates/bench/src/bin/throughput.rs`) emits a
+//! The bench binary (`crates/bench/src/bin/sentinet-bench.rs`) emits a
 //! JSON report that downstream tooling (and the README tables) relies
 //! on. `cargo run -p xtask -- bench-check` fails CI when that file is
 //! malformed: missing keys, non-finite numbers, unknown modes, or
@@ -9,7 +9,7 @@
 //! `fsync` policy, `retention` setting (`off` or the WAL byte
 //! budget), and `batch` shape (`off` for the stop-and-wait uplink or
 //! `<batch>x<window>` for the pipelined one), and are exempt from the
-//! sensors-monotone rule — they are appended after the shard sweep
+//! sensors-monotone rule — they are appended after the sensor sweep
 //! rather than sorted into it. When any ingest rows are present the
 //! document must also carry an `ingest_stages` object breaking one
 //! pipelined run down into finite, non-negative per-stage seconds
@@ -281,7 +281,6 @@ const ROW_KEYS: &[&str] = &[
     "sensors",
     "days",
     "mode",
-    "shards",
     "readings",
     "windows",
     "seconds",
@@ -354,12 +353,10 @@ pub fn validate(input: &str) -> Vec<String> {
             }
         }
         let mode = match row.get("mode") {
-            Some(Json::Str(mode)) if mode == "serial" || mode == "engine" || mode == "ingest" => {
-                Some(mode.as_str())
-            }
+            Some(Json::Str(mode)) if mode == "serial" || mode == "ingest" => Some(mode.as_str()),
             Some(Json::Str(mode)) => {
                 problems.push(format!(
-                    "results[{i}].mode must be `serial`, `engine`, or `ingest`, got `{mode}`"
+                    "results[{i}].mode must be `serial` or `ingest`, got `{mode}`"
                 ));
                 None
             }
@@ -405,7 +402,7 @@ pub fn validate(input: &str) -> Vec<String> {
                 )),
             }
         } else if let Some(Json::Num(sensors)) = row.get("sensors") {
-            // Ingest rows ride after the shard sweep; only the sweep
+            // Ingest rows ride after the sensor sweep; only the sweep
             // itself must keep sensors monotone.
             if let Some(prev) = prev_sensors {
                 if *sensors < prev {
@@ -486,7 +483,7 @@ mod tests {
 
     fn row(sensors: u32, mode: &str) -> String {
         format!(
-            "{{\"sensors\": {sensors}, \"days\": 1, \"mode\": \"{mode}\", \"shards\": 1, \
+            "{{\"sensors\": {sensors}, \"days\": 1, \"mode\": \"{mode}\", \
              \"readings\": 10, \"windows\": 2, \"seconds\": 0.5, \"readings_per_sec\": 20.0, \
              \"windows_per_sec\": 4.0, \"speedup_vs_serial\": 1.0}}"
         )
@@ -501,7 +498,7 @@ mod tests {
 
     #[test]
     fn valid_document_passes() {
-        let d = doc(&[row(10, "serial"), row(10, "engine"), row(100, "serial")]);
+        let d = doc(&[row(10, "serial"), row(100, "serial")]);
         assert!(validate(&d).is_empty());
     }
 
@@ -530,10 +527,10 @@ mod tests {
 
     #[test]
     fn missing_row_key_fails() {
-        let d = doc(&[row(10, "serial").replace("\"shards\": 1, ", "")]);
+        let d = doc(&[row(10, "serial").replace("\"days\": 1, ", "")]);
         let problems = validate(&d);
         assert!(
-            problems.iter().any(|p| p.contains("`shards`")),
+            problems.iter().any(|p| p.contains("`days`")),
             "{problems:?}"
         );
     }

@@ -7,7 +7,7 @@
 //!   spawns), suppressible inline with
 //!   `// sentinet-allow(lint-name): reason`;
 //! - [`model_check`] — a loom-style exhaustive schedule explorer that
-//!   replays the sharded engine's coordinator loop under every
+//!   replays the engine's coordinator loop under every
 //!   worker/coordinator interleaving and asserts bit-identical
 //!   equivalence with the serial pipeline;
 //! - [`bench_check`] — schema validation for `BENCH_engine.json`;

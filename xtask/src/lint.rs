@@ -17,9 +17,9 @@
 //! | `missing-forbid-unsafe` | `lib.rs` without `#![forbid(unsafe_code)]` |
 //! | `missing-deny-docs` | `lib.rs` without `#![deny(missing_docs)]` |
 //! | `hot-path-alloc` | allocation markers in registered hot functions |
-//! | `thread-spawn` | `thread::spawn` outside `crates/engine` / `crates/gateway` |
-//! | `resume-unwind` | `resume_unwind` outside the engine supervisor |
-//! | `unbounded-channel` | `unbounded` channels outside the engine supervisor |
+//! | `thread-spawn` | `thread::spawn` outside `crates/gateway` |
+//! | `resume-unwind` | `resume_unwind` anywhere |
+//! | `unbounded-channel` | `unbounded` channels anywhere |
 //! | `net-outside-gateway` | `std::net` / `std::os::unix::net` outside `crates/gateway` |
 //! | `socket-read-timeout` | socket reads in a file that never sets a read timeout |
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
@@ -32,19 +32,18 @@
 //! exempt from the panic-family, `dbg-used` and header lints (they are
 //! terminal programs where aborting and printing are the interface).
 //! `assert!`/`debug_assert!` are deliberately allowed: validated
-//! preconditions are part of the API contract. Crash recovery is the
-//! engine supervisor's monopoly: everywhere else, a worker panic must
-//! surface as a typed `ShardError` (never be re-raised) and channels
-//! must be bounded so a stuck consumer back-pressures instead of
-//! buffering without limit. Live network I/O is likewise the gateway's
-//! monopoly: raw sockets elsewhere would bypass its framing, dedup,
-//! WAL, and backpressure, and any file naming a socket stream type
-//! that reads from it must configure a read timeout so a dead peer
-//! cannot wedge a thread forever. Durable file mutation is the storage
-//! layer's monopoly (`io-outside-vfs`): a raw `File::create`,
-//! `OpenOptions`, or `std::fs` write outside `gateway::vfs` would
-//! bypass the injectable `Vfs` seam, so disk-fault chaos could never
-//! reach it and its fsync/crash semantics would go untested.
+//! preconditions are part of the API contract. A caught panic must
+//! never be re-raised, and channels must be bounded so a stuck consumer
+//! back-pressures instead of buffering without limit. Live network I/O
+//! is the gateway's monopoly: raw sockets elsewhere would bypass its
+//! framing, dedup, WAL, and backpressure, and any file naming a socket
+//! stream type that reads from it must configure a read timeout so a
+//! dead peer cannot wedge a thread forever. Durable file mutation is
+//! the storage layer's monopoly (`io-outside-vfs`): a raw
+//! `File::create`, `OpenOptions`, or `std::fs` write outside
+//! `gateway::vfs` would bypass the injectable `Vfs` seam, so disk-fault
+//! chaos could never reach it and its fsync/crash semantics would go
+//! untested.
 //!
 //! The ack-after-durable rule of the pipelined protocol gets its own
 //! dataflow pass (`ack-ordering`): a function body that constructs a
@@ -156,8 +155,6 @@ pub struct FileContext {
     pub exempt_crate: bool,
     /// The file is a crate root (`lib.rs`) subject to header lints.
     pub is_lib_root: bool,
-    /// The file belongs to `crates/engine` (may spawn threads).
-    pub engine_crate: bool,
     /// The file belongs to `crates/gateway` (may spawn threads and
     /// open sockets — live I/O is its monopoly).
     pub gateway_crate: bool,
@@ -168,9 +165,6 @@ pub struct FileContext {
     /// (`controller/src/federation.rs`), the one place allowed to
     /// mutate partition-map ownership or health.
     pub controller_commit_file: bool,
-    /// The file is the engine supervisor (may resume unwinds and own
-    /// unbounded channels as part of crash recovery).
-    pub supervisor_file: bool,
     /// The file is the storage abstraction (`gateway/src/vfs.rs`),
     /// the one place allowed to touch the real filesystem.
     pub vfs_file: bool,
@@ -196,11 +190,9 @@ impl FileContext {
         Self {
             exempt_crate: EXEMPT_CRATES.contains(&crate_name),
             is_lib_root: p.ends_with("src/lib.rs"),
-            engine_crate: crate_name == "engine",
             gateway_crate: crate_name == "gateway",
             controller_crate: crate_name == "controller",
             controller_commit_file: p.ends_with("controller/src/federation.rs"),
-            supervisor_file: p.ends_with("engine/src/supervisor.rs"),
             vfs_file: p.ends_with("gateway/src/vfs.rs"),
             hot_functions,
         }
@@ -344,17 +336,15 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
-    // Thread spawning is shared between the engine (shard workers) and
-    // the gateway (socket accept/reader threads).
-    if !ctx.engine_crate && !ctx.gateway_crate {
+    // Thread spawning is the gateway's (socket accept/reader threads).
+    if !ctx.gateway_crate {
         for offset in find_all(&map.masked, "thread::spawn") {
             if !map.in_test_region(offset) {
                 push(
                     &map,
                     offset,
                     "thread-spawn",
-                    "`thread::spawn` outside crates/engine or crates/gateway; route concurrency through them"
-                        .into(),
+                    "`thread::spawn` outside crates/gateway; route concurrency through it".into(),
                 );
             }
         }
@@ -436,29 +426,27 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
-    // Crash recovery is the supervisor's monopoly: panics must surface
-    // as typed errors (not be re-raised) and channels must be bounded
-    // so a stuck consumer back-pressures instead of buffering forever.
-    if !ctx.supervisor_file {
-        for offset in find_word(&map.masked, "resume_unwind") {
-            if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "resume-unwind",
-                    "`resume_unwind` outside the engine supervisor; surface the crash as a typed ShardError instead".into(),
-                );
-            }
+    // Panics must surface as typed errors (not be re-raised) and
+    // channels must be bounded so a stuck consumer back-pressures
+    // instead of buffering forever.
+    for offset in find_word(&map.masked, "resume_unwind") {
+        if !map.in_test_region(offset) {
+            push(
+                &map,
+                offset,
+                "resume-unwind",
+                "`resume_unwind` re-raises a caught panic; surface the crash as a typed error instead".into(),
+            );
         }
-        for offset in find_word(&map.masked, "unbounded") {
-            if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "unbounded-channel",
-                    "unbounded channel outside the engine supervisor; use `bounded` with an explicit capacity".into(),
-                );
-            }
+    }
+    for offset in find_word(&map.masked, "unbounded") {
+        if !map.in_test_region(offset) {
+            push(
+                &map,
+                offset,
+                "unbounded-channel",
+                "unbounded channel; use `bounded` with an explicit capacity".into(),
+            );
         }
     }
 
@@ -861,18 +849,29 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_monopoly_lints_fire_elsewhere_only() {
+    fn unwind_and_unbounded_lints_fire_in_any_crate() {
         let src = "fn a(p: P) { let (tx, rx) = unbounded(); std::panic::resume_unwind(p); }\n";
-        let f = run(src);
-        assert_eq!(f.iter().filter(|f| f.lint == "resume-unwind").count(), 1);
-        assert_eq!(
-            f.iter().filter(|f| f.lint == "unbounded-channel").count(),
-            1
-        );
-        let mut c = ctx();
-        c.supervisor_file = true;
-        let f = lint_source(Path::new("crates/engine/src/supervisor.rs"), src, &c);
-        assert!(f.is_empty(), "{f:?}");
+        for path in [
+            "crates/engine/src/lib.rs",
+            "crates/gateway/src/server.rs",
+            "crates/controller/src/federation.rs",
+        ] {
+            let f = lint_source(
+                Path::new(path),
+                src,
+                &FileContext::for_path(Path::new(path)),
+            );
+            assert_eq!(
+                f.iter().filter(|f| f.lint == "resume-unwind").count(),
+                1,
+                "{path}"
+            );
+            assert_eq!(
+                f.iter().filter(|f| f.lint == "unbounded-channel").count(),
+                1,
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -950,16 +949,16 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawn_flagged_outside_engine() {
-        let f = run("fn a() { std::thread::spawn(|| {}); }\n");
+    fn thread_spawn_flagged_outside_gateway() {
+        let src = "fn a() { std::thread::spawn(|| {}); }\n";
+        let f = run(src);
+        assert_eq!(f.iter().filter(|f| f.lint == "thread-spawn").count(), 1);
+        let engine = Path::new("crates/engine/src/lib.rs");
+        let f = lint_source(engine, src, &FileContext::for_path(engine));
         assert_eq!(f.iter().filter(|f| f.lint == "thread-spawn").count(), 1);
         let mut c = ctx();
-        c.engine_crate = true;
-        let f = lint_source(
-            Path::new("e.rs"),
-            "fn a() { std::thread::spawn(|| {}); }\n",
-            &c,
-        );
+        c.gateway_crate = true;
+        let f = lint_source(Path::new("crates/gateway/src/server.rs"), src, &c);
         assert!(f.is_empty());
     }
 }

@@ -15,8 +15,7 @@ Commands:
   lint [PATH...]               run the lint engine over the workspace, or
                                over the given files only
   model-check                  exhaustively explore shard schedules and
-                               fault (crash/drop) schedules and assert
-                               serial equivalence after recovery
+                               assert serial equivalence
   protocol-check               exhaustively explore v2 uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
@@ -86,11 +85,6 @@ fn run_model_check() -> Result<(), String> {
             report.schedules
         ));
     }
-    let faults = model_check::explore_faults().map_err(|e| format!("model-check: {e}"))?;
-    println!(
-        "model-check: {} fault schedules recovered bit-identically ({} quarantine check(s))",
-        faults.schedules, faults.quarantines
-    );
     Ok(())
 }
 

@@ -4,16 +4,16 @@
 //! identical to the serial pipeline **under every worker/coordinator
 //! interleaving** — the majority-vote barrier and the order-insensitive
 //! reply folds (`collect_labels` / `collect_steps`) are what make the
-//! claim hold, and a fixed-seed equivalence test only ever observes the
-//! schedules the OS happens to produce.
+//! claim hold, and a fixed-order equivalence test only ever observes
+//! one arrival order.
 //!
 //! This module closes that gap loom-style: it drives the *real*
 //! coordinator loop ([`sentinet_engine::drive_trace`]) with a
 //! [`ShardBackend`] whose shards are in-process [`ShardWorker`]s fed
-//! through the vendored crossbeam channels, and where every place the
-//! real engine leaves an order to the scheduler — which shard executes
-//! its pending job first, hence in which order replies arrive at the
-//! coordinator — becomes an explicit choice point. A depth-first
+//! through the vendored crossbeam channels, and where every order a
+//! distributed deployment would leave to the scheduler — which shard
+//! executes its pending job first, hence in which order replies arrive
+//! at the coordinator — becomes an explicit choice point. A depth-first
 //! [`Schedule`] enumerates every complete assignment of choices (the
 //! trace is replayed from scratch per schedule; all state is
 //! reconstructed, so the exploration is exhaustive and deterministic)
@@ -24,24 +24,13 @@
 //! shards, 3 sensors (sensor 2 alone on shard 1), 3 windows, with
 //! sensor 2 turning faulty after the first window so the decisive-step
 //! path (alarms, `M_CE` updates) runs under exploration too.
-//!
-//! [`explore_faults`] extends the claim to *crash* schedules: a worker
-//! panic injected at every (shard × window × barrier) coordinate of the
-//! same scenario must leave the supervised engine's crashed-and-restored
-//! output bit-identical to the serial pipeline, a dropped reply must
-//! recover through the reply timeout, and exhausting the restart budget
-//! must quarantine the shard's sensors instead of aborting.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use sentinet_core::{Pipeline, PipelineConfig};
 use sentinet_engine::protocol::{collect_labels, collect_steps, shard_of, Job, Reply, ShardWorker};
-use sentinet_engine::{
-    drive_trace, ChaosPlan, Engine, FaultKind, FaultPoint, FaultSpec, ShardBackend, ShardError,
-    SupervisorConfig,
-};
+use sentinet_engine::{drive_trace, ShardBackend};
 use sentinet_sim::{Payload, Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 const NUM_SHARDS: usize = 2;
 const NUM_SENSORS: u16 = 3;
@@ -182,7 +171,7 @@ impl ShardBackend for ExplorerBackend<'_> {
         &mut self,
         states: &sentinet_cluster::ModelStates,
         representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
+    ) -> Option<BTreeMap<SensorId, usize>> {
         let mut batches: Vec<Vec<(SensorId, Vec<f64>)>> = vec![Vec::new(); NUM_SHARDS];
         for (&id, mean) in representatives {
             batches[shard_of(id, NUM_SHARDS)].push((id, mean.clone()));
@@ -195,7 +184,7 @@ impl ShardBackend for ExplorerBackend<'_> {
             .expect("job receiver alive");
         }
         self.run_pending((0..NUM_SHARDS).collect());
-        Ok(collect_labels(self.arrivals(NUM_SHARDS)))
+        collect_labels(self.arrivals(NUM_SHARDS))
     }
 
     fn step(
@@ -204,7 +193,7 @@ impl ShardBackend for ExplorerBackend<'_> {
         correct: usize,
         num_slots: usize,
         labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
+    ) -> (Vec<SensorId>, Vec<SensorId>) {
         let mut batches: Vec<Vec<(SensorId, usize)>> = vec![Vec::new(); NUM_SHARDS];
         for (&id, &label) in labels {
             batches[shard_of(id, NUM_SHARDS)].push((id, label));
@@ -219,16 +208,15 @@ impl ShardBackend for ExplorerBackend<'_> {
             .expect("job receiver alive");
         }
         self.run_pending((0..NUM_SHARDS).collect());
-        Ok(collect_steps(self.arrivals(NUM_SHARDS)))
+        collect_steps(self.arrivals(NUM_SHARDS))
     }
 
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
+    fn grow(&mut self, num_slots: usize) {
         for (tx, _) in &self.job_ports {
             tx.send(Job::Grow { num_slots })
                 .expect("job receiver alive");
         }
         self.run_pending((0..NUM_SHARDS).collect());
-        Ok(())
     }
 }
 
@@ -287,8 +275,7 @@ pub fn explore() -> Result<ExploreReport, String> {
     let mut schedules = 0usize;
     loop {
         let mut backend = ExplorerBackend::new(&config, &mut schedule);
-        let (_, outcomes) = drive_trace(&config, SAMPLE_PERIOD, &trace, &mut backend)
-            .expect("the explorer backend never loses a worker");
+        let (_, outcomes) = drive_trace(&config, SAMPLE_PERIOD, &trace, &mut backend);
         let sensors = backend.into_sensors();
 
         if outcomes != serial_outcomes {
@@ -326,149 +313,6 @@ pub fn explore() -> Result<ExploreReport, String> {
         schedules,
         windows: serial_outcomes.len(),
         sensors: NUM_SENSORS as usize,
-    })
-}
-
-/// Result of an exhaustive fault-schedule exploration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultReport {
-    /// Fault schedules executed (crash sites + reply faults).
-    pub schedules: usize,
-    /// Schedules that ended with a quarantined shard (budget checks).
-    pub quarantines: usize,
-}
-
-/// Silences the panic hook for the harness's own injected panics
-/// (payloads prefixed `chaos:`); real panics still print.
-fn silence_chaos_panics() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !injected {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// A supervised engine over the model-check scenario with test-speed
-/// timeouts and the given restart budget.
-fn supervised_engine(budget: u32) -> Engine {
-    Engine::new(check_config(), SAMPLE_PERIOD, NUM_SHARDS).with_supervisor(SupervisorConfig {
-        max_shard_restarts: budget,
-        reply_timeout: Duration::from_millis(200),
-        restart_backoff: Duration::from_millis(1),
-        ..SupervisorConfig::default()
-    })
-}
-
-/// Explores crash schedules over the same 2-shard/3-window scenario as
-/// [`explore`]: a worker panic at every (shard × window × barrier)
-/// coordinate plus a dropped reply must each recover bit-identically to
-/// the serial pipeline, and a panic that re-fires past the restart
-/// budget must quarantine the shard's sensors — never abort. Returns
-/// the exploration report, or the first divergence found.
-pub fn explore_faults() -> Result<FaultReport, String> {
-    silence_chaos_panics();
-    let config = check_config();
-    let trace = check_trace();
-
-    let mut pipeline = Pipeline::new(config, SAMPLE_PERIOD);
-    let serial_outcomes = pipeline.process_trace(&trace);
-
-    // Kill-anywhere: one panic per coordinate, plus one dropped reply
-    // (recovers through the reply timeout instead of the crash note).
-    let mut plans: Vec<ChaosPlan> = Vec::new();
-    for shard in 0..NUM_SHARDS {
-        for window in 0..NUM_WINDOWS {
-            for point in [FaultPoint::Label, FaultPoint::Step] {
-                plans.push(ChaosPlan::panic_at(shard, window, point));
-            }
-        }
-    }
-    plans.push(ChaosPlan::new().with_fault(FaultSpec {
-        shard: 1,
-        window: 1,
-        point: FaultPoint::Label,
-        kind: FaultKind::DropReply,
-        count: 1,
-    }));
-
-    let mut schedules = 0usize;
-    for plan in plans {
-        let run = supervised_engine(3)
-            .with_chaos(plan.clone())
-            .process_trace(&trace)
-            .map_err(|e| format!("fault plan {plan:?}: engine aborted: {e}"))?;
-        if run.degraded().is_some() {
-            return Err(format!(
-                "fault plan {plan:?}: quarantined within budget — recovery failed"
-            ));
-        }
-        if run.outcomes() != serial_outcomes.as_slice() {
-            return Err(format!(
-                "fault plan {plan:?}: outcomes diverged after recovery\nserial: {serial_outcomes:?}\nsharded: {:?}",
-                run.outcomes()
-            ));
-        }
-        for s in 0..NUM_SENSORS {
-            let id = SensorId(s);
-            if run.raw_alarm_history(id) != pipeline.raw_alarm_history(id) {
-                return Err(format!(
-                    "fault plan {plan:?}: sensor {s} raw-alarm history diverged"
-                ));
-            }
-            if run.m_ce(id) != pipeline.m_ce(id) {
-                return Err(format!(
-                    "fault plan {plan:?}: sensor {s} M_CE estimator diverged"
-                ));
-            }
-        }
-        schedules += 1;
-    }
-
-    // Budget exhaustion: the panic re-fires on every re-delivery until
-    // shard 1 (sole owner of sensor 1) is quarantined. The run must
-    // finish degraded, not abort.
-    let budget = 1u32;
-    let plan = ChaosPlan::new().with_fault(FaultSpec {
-        shard: 1,
-        window: 1,
-        point: FaultPoint::Label,
-        kind: FaultKind::Panic,
-        count: budget + 1,
-    });
-    let run = supervised_engine(budget)
-        .with_chaos(plan.clone())
-        .process_trace(&trace)
-        .map_err(|e| format!("quarantine plan {plan:?}: engine aborted: {e}"))?;
-    let degraded = run
-        .degraded()
-        .ok_or_else(|| format!("quarantine plan {plan:?}: shard 1 was not quarantined"))?;
-    if degraded.quarantined_sensors != [SensorId(1)] {
-        return Err(format!(
-            "quarantine plan {plan:?}: expected sensor 1 quarantined, got {:?}",
-            degraded.quarantined_sensors
-        ));
-    }
-    if run.windows_processed() != serial_outcomes.len() as u64 {
-        return Err(format!(
-            "quarantine plan {plan:?}: surviving shard stopped early ({} of {} windows)",
-            run.windows_processed(),
-            serial_outcomes.len()
-        ));
-    }
-    schedules += 1;
-
-    Ok(FaultReport {
-        schedules,
-        quarantines: 1,
     })
 }
 
@@ -519,14 +363,5 @@ mod tests {
             report.schedules
         );
         assert_eq!(report.windows, NUM_WINDOWS as usize);
-    }
-
-    #[test]
-    fn fault_exploration_confirms_recovery() {
-        let report = explore_faults().expect("no fault schedule may diverge");
-        // 2 shards × 3 windows × 2 barriers panics + 1 dropped reply
-        // + 1 budget-exhaustion quarantine.
-        assert_eq!(report.schedules, 14);
-        assert_eq!(report.quarantines, 1);
     }
 }

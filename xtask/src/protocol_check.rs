@@ -71,8 +71,8 @@
 use crate::model_check::Schedule;
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
-    AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
-    QueuedAck, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal, WalRecord,
+    AckDiscipline, Collector, FaultPlan, FaultyVfs, FsyncPolicy, GatewayConfig, Message, QueuedAck,
+    SeqTracker, StepEvent, StepServer, StorageFault, StorageFaultSpec, VfsOp, Wal, WalRecord,
     PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
@@ -274,7 +274,7 @@ struct Episode<'a> {
 fn gateway_config(dir: &Path, poison: bool) -> GatewayConfig {
     let mut plan = FaultPlan::new();
     if poison {
-        plan = plan.with_fault(FaultSpec {
+        plan = plan.with_fault(StorageFaultSpec {
             path: ".seg".into(),
             op: VfsOp::Fsync,
             nth: 1,

@@ -28,11 +28,9 @@ fn full_ctx() -> FileContext {
     FileContext {
         exempt_crate: false,
         is_lib_root: true,
-        engine_crate: false,
         gateway_crate: false,
         controller_crate: false,
         controller_commit_file: false,
-        supervisor_file: false,
         vfs_file: false,
         hot_functions: vec!["hot".into()],
     }
