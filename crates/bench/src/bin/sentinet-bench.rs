@@ -12,17 +12,14 @@
 //! count is recorded alongside the numbers.
 //!
 //! Trailing `ingest` rows time traces through the durable gateway —
-//! real loopback TCP, WAL append before every ack — under both wire
-//! protocols: `batch: "off"` rows use the stop-and-wait v1 uplink
-//! (one Data frame, one ack per reading), `batch: "256x32"` rows use
-//! the pipelined v2 uplink (256-reading `DataBatch` frames, a
-//! 32-batch credit window, cumulative `AckUpTo` acks released only
-//! after the covering group fsync). Each protocol is swept over
+//! real loopback TCP, WAL append before every ack — with the
+//! pipelined uplink (`batch: "256x32"`: 256-reading `DataBatch`
+//! frames, a 32-batch credit window, cumulative `AckUpTo` acks
+//! released only after the covering group fsync), swept over
 //! `fsync: never` / `batch:64` and a `--wal-retain-bytes`-style
-//! budget (checkpoint-gated segment reclaim), so both the cost of
-//! durability and the recovery of pipelining are measured, not
-//! guessed. A final `ingest_stages` object breaks the pipelined
-//! `batch:64` run down by stage (decode / admission / WAL append /
+//! budget (checkpoint-gated segment reclaim), so the cost of
+//! durability is measured, not guessed. A final `ingest_stages`
+//! object breaks the `batch:64` run down by stage (decode / admission / WAL append /
 //! fsync / ack wall time, plus `other_s` for the uninstrumented
 //! remainder); the stages sum to `total_s` — the wall time of the rep
 //! they came from — and `bench-check` rejects documents where they
@@ -32,11 +29,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_core::{Pipeline, PipelineConfig};
 use sentinet_gateway::{
-    trace_to_raw, Collector, FsyncPolicy, GatewayConfig, PipelinedConfig, PipelinedUplink,
-    SensorUplink, Server, ServerConfig, StageTimings, UplinkConfig, UplinkStats,
+    trace_to_raw, Collector, FsyncPolicy, GatewayConfig, PipelinedConfig, PipelinedUplink, Server,
+    ServerConfig, StageTimings, UplinkStats,
 };
-use sentinet_sim::{gdi, simulate, RawRecord, SensorId, Trace, DAY_S};
-use std::collections::BTreeMap;
+use sentinet_sim::{gdi, simulate, RawRecord, Trace, DAY_S};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -46,7 +42,7 @@ const REPS: usize = 3;
 const RETAIN_BUDGET: u64 = 64 * 1024;
 const RETAIN_SEGMENT: u64 = 16 * 1024;
 
-/// Pipelined-protocol shape for the batched ingest rows.
+/// Uplink shape for the ingest rows.
 const PIPE_BATCH: usize = 256;
 const PIPE_WINDOW: usize = 32;
 
@@ -59,8 +55,8 @@ struct Row {
     /// `Some` only for ingest rows: `"off"` or the byte budget of
     /// checkpoint-gated WAL retention.
     retention: Option<String>,
-    /// `Some` only for ingest rows: `"off"` for the stop-and-wait v1
-    /// uplink, `"<batch>x<window>"` for the pipelined v2 uplink.
+    /// `Some` only for ingest rows: the uplink shape,
+    /// `"<batch>x<window>"`.
     batch: Option<String>,
     readings: usize,
     windows: u64,
@@ -105,25 +101,22 @@ fn time_best<F: FnMut() -> u64>(mut f: F) -> (u64, f64) {
 /// Best-of-`REPS` wall time for the full durable ingest path: a real
 /// loopback TCP server, an uplink delivering every record in order,
 /// WAL append before each ack, and the final pipeline flush + sync.
-/// The clock covers first connect through `finish()`. `pipelined`
-/// selects the v2 batched/credit-windowed uplink over stop-and-wait;
-/// the returned [`Stages`] breakdown comes from the fastest rep.
+/// The clock covers first connect through `finish()`; the returned
+/// [`Stages`] breakdown comes from the fastest rep.
 fn time_ingest(
     records: &[RawRecord],
     sample_period: u64,
     fsync: FsyncPolicy,
     retain: Option<u64>,
-    pipelined: bool,
 ) -> (u64, f64, Stages) {
     let mut best = f64::INFINITY;
     let mut windows = 0;
     let mut stages = Stages::default();
     for rep in 0..REPS {
         let dir = std::env::temp_dir().join(format!(
-            "sentinet-bench-ingest-{}-{fsync}-{}-{}-{rep}",
+            "sentinet-bench-ingest-{}-{fsync}-{}-{rep}",
             std::process::id(),
             retain.map_or(0, |b| b),
-            if pipelined { "pipe" } else { "saw" },
         ));
         // sentinet-allow(io-outside-vfs): bench scratch-dir cleanup, not
         // gateway-durable state.
@@ -134,21 +127,17 @@ fn time_ingest(
             config.wal.retain_bytes = Some(budget);
             config.wal.segment_max_bytes = RETAIN_SEGMENT;
         }
-        if pipelined {
-            // Batching delivers each sensor in bursts spanning
-            // `PIPE_BATCH × sample_period` stream-seconds; the reorder
-            // watermark must cover that skew and the buffer must hold
-            // the burst, or same-era readings of other sensors drop
-            // as late.
-            config.reorder.watermark_delay = 2 * PIPE_BATCH as u64 * sample_period;
-            config.reorder.per_sensor_capacity = 4 * PIPE_BATCH;
-            // A per-record checkpoint cadence sized for stop-and-wait
-            // becomes one full snapshot per batch at 256-reading
-            // frames; scale it to one restore point per 32 batches
-            // (every ~15ms of wall time at the measured rate) so the
-            // rows measure the protocol, not checkpoint IO.
-            config.checkpoint_every = 32 * PIPE_BATCH as u64;
-        }
+        // The uplink never lets a batch span more stream time than
+        // the watermark delay, so widen the watermark (and the buffer
+        // behind it) until full `PIPE_BATCH`-reading batches form.
+        config.reorder.watermark_delay = 2 * PIPE_BATCH as u64 * sample_period;
+        config.reorder.per_sensor_capacity = 4 * PIPE_BATCH;
+        // The default per-record checkpoint cadence would be one full
+        // snapshot per batch at 256-reading frames; scale it to one
+        // restore point per 32 batches (every ~15ms of wall time at
+        // the measured rate) so the rows measure the protocol, not
+        // checkpoint IO.
+        config.checkpoint_every = 32 * PIPE_BATCH as u64;
         let (mut collector, _) = Collector::open(config).expect("open gateway collector");
         let server = Server::start(ServerConfig {
             credit_window: PIPE_WINDOW as u32,
@@ -162,31 +151,16 @@ fn time_ingest(
         // with the server it is timing; all I/O goes through the gateway's
         // own uplink.
         let client = std::thread::spawn(move || -> UplinkStats {
-            if pipelined {
-                let mut config = PipelinedConfig::new(addr);
-                config.batch_size = PIPE_BATCH;
-                config.max_inflight = PIPE_WINDOW;
-                let mut uplink = PipelinedUplink::new(config);
-                for r in &client_records {
-                    uplink
-                        .send(r.sensor, r.time, &r.values)
-                        .expect("durable send over loopback");
-                }
-                uplink.finish().expect("fin/finack")
-            } else {
-                let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
-                let mut seqs: BTreeMap<SensorId, u64> = BTreeMap::new();
-                for r in &client_records {
-                    let seq = seqs.entry(r.sensor).or_insert(0);
-                    uplink
-                        .send_at(r.sensor, *seq, r.time, &r.values)
-                        .expect("durable send over loopback");
-                    *seq += 1;
-                }
-                let stats = uplink.stats();
-                uplink.finish().expect("fin/finack");
-                stats
+            let mut config = PipelinedConfig::new(addr);
+            config.batch_size = PIPE_BATCH;
+            config.max_inflight = PIPE_WINDOW;
+            let mut uplink = PipelinedUplink::new(config);
+            for r in &client_records {
+                uplink
+                    .send(r.sensor, r.time, &r.values)
+                    .expect("durable send over loopback");
             }
+            uplink.finish().expect("fin/finack")
         });
         let server_stats = server.run(&mut collector).expect("serve loopback stream");
         let uplink_stats = client.join().expect("uplink client thread");
@@ -264,47 +238,32 @@ fn main() {
     }
 
     // Durable-ingest rows through the full gateway (loopback TCP +
-    // WAL), once per (protocol, fsync policy). The stop-and-wait rows
-    // reuse the smallest sweep trace; the pipelined rows use a longer
-    // trace of the same 10-sensor network so each timed run lasts long
-    // enough to measure at several hundred k readings/sec. The speedup
-    // column is honest overhead: the throughput ratio to the serial
-    // in-process pipeline at the same network size.
-    let (saw_trace, saw_period) = wide_trace(10, 7, 42);
-    let saw_records = trace_to_raw(&saw_trace);
-    let (pipe_trace, pipe_period) = wide_trace(10, 56, 42);
-    let pipe_records = trace_to_raw(&pipe_trace);
-    let batch_label = format!("{PIPE_BATCH}x{PIPE_WINDOW}");
-    let mut pipe_stages: Option<Stages> = None;
-    for (pipelined, fsync, retain) in [
-        (false, FsyncPolicy::Never, None),
-        (false, FsyncPolicy::Batch(64), None),
-        (false, FsyncPolicy::Batch(64), Some(RETAIN_BUDGET)),
-        (true, FsyncPolicy::Never, None),
-        (true, FsyncPolicy::Batch(64), None),
-        (true, FsyncPolicy::Batch(64), Some(RETAIN_BUDGET)),
+    // WAL), once per fsync/retention setting, over a long trace of the
+    // 10-sensor network so each timed run lasts long enough to measure
+    // at several hundred k readings/sec. The speedup column is honest
+    // overhead: the throughput ratio to the serial in-process pipeline
+    // at the same network size.
+    let days = 56;
+    let (trace, period) = wide_trace(10, days, 42);
+    let records = trace_to_raw(&trace);
+    let batch = format!("{PIPE_BATCH}x{PIPE_WINDOW}");
+    let mut breakdown: Option<Stages> = None;
+    for (fsync, retain) in [
+        (FsyncPolicy::Never, None),
+        (FsyncPolicy::Batch(64), None),
+        (FsyncPolicy::Batch(64), Some(RETAIN_BUDGET)),
     ] {
-        let (records, period, days) = if pipelined {
-            (&pipe_records, pipe_period, 56)
-        } else {
-            (&saw_records, saw_period, 7)
-        };
-        let (windows, seconds, stages) = time_ingest(records, period, fsync, retain, pipelined);
+        let (windows, seconds, stages) = time_ingest(&records, period, fsync, retain);
         let retention = retain.map_or_else(|| "off".to_string(), |b| b.to_string());
-        let batch = if pipelined {
-            batch_label.clone()
-        } else {
-            "off".to_string()
-        };
         eprintln!(
             "  ingest batch={batch} fsync={fsync} retention={retention}: {:.3}s ({:.0} readings/s)",
             seconds,
             records.len() as f64 / seconds
         );
-        if pipelined && fsync == FsyncPolicy::Batch(64) && retain.is_none() {
-            // The stage breakdown row: pipelined group commit with the
+        if fsync == FsyncPolicy::Batch(64) && retain.is_none() {
+            // The stage breakdown row: group commit with the
             // production-shaped fsync policy and no retention churn.
-            pipe_stages = Some(stages);
+            breakdown = Some(stages);
         }
         rows.push(Row {
             sensors: 10,
@@ -312,7 +271,7 @@ fn main() {
             mode: "ingest".into(),
             fsync: Some(fsync.to_string()),
             retention: Some(retention),
-            batch: Some(batch),
+            batch: Some(batch.clone()),
             readings: records.len(),
             windows,
             seconds,
@@ -326,13 +285,13 @@ fn main() {
     json.push_str(
         "  \"note\": \"best-of-reps wall time per cell; serial = sentinet_core::Pipeline; \
          ingest = durable gateway over loopback TCP \
-         (WAL append before each ack) at the named fsync policy; batch = off for the \
-         stop-and-wait v1 uplink, <batch>x<window> for the pipelined v2 uplink (DataBatch \
-         frames under a credit window, cumulative AckUpTo released only after the covering \
-         group fsync); retention = checkpoint-gated WAL reclaim under the named byte \
-         budget (off = retain everything; pipelined rows checkpoint once per 32 batches); speedup_vs_serial = readings/sec ratio to the \
+         (WAL append before each ack) at the named fsync policy; batch = <batch>x<window> \
+         of the pipelined uplink (DataBatch frames under a credit window, cumulative AckUpTo \
+         released only after the covering group fsync); retention = checkpoint-gated WAL \
+         reclaim under the named byte budget (off = retain everything; ingest rows checkpoint \
+         once per 32 batches); speedup_vs_serial = readings/sec ratio to the \
          serial row at the same sensor count; ingest_stages = per-stage wall seconds from \
-         the fastest pipelined fsync=batch:64 rep (other_s = uninstrumented remainder, so \
+         the fastest fsync=batch:64 rep (other_s = uninstrumented remainder, so \
          the stages sum to total_s, the wall time of that rep)\",\n",
     );
     json.push_str("  \"results\": [\n");
@@ -375,7 +334,7 @@ fn main() {
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ],\n");
-    let stages = pipe_stages.expect("pipelined batch:64 row always runs");
+    let stages = breakdown.expect("batch:64 row always runs");
     let _ = writeln!(
         json,
         "  \"ingest_stages\": {{\"decode_s\": {:.6}, \"admission_s\": {:.6}, \

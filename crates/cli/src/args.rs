@@ -87,11 +87,8 @@ pub struct ServeArgs {
     pub wal_segment_bytes: Option<u64>,
     /// Chaos hook: abort the process after appending N WAL records.
     pub crash_after: Option<u64>,
-    /// Batches a pipelined (protocol v2) client may keep in flight.
+    /// Batches a client may keep in flight.
     pub credit_window: u32,
-    /// Pin the server to protocol v1: v2 `Hello`s get a typed
-    /// `HelloReject { supported: 1 }` instead of a credit grant.
-    pub v1_only: bool,
     /// Owner epoch this collector serves under (0 = unfenced). A
     /// fence token is persisted beside the WAL; a collector started
     /// with a stale epoch fail-stops, and clients announcing a newer
@@ -129,8 +126,6 @@ pub struct FederateArgs {
     pub partitions: usize,
     /// Standby collectors available for failover adoption.
     pub standbys: usize,
-    /// Drive the pipelined v2 uplink instead of stop-and-wait v1.
-    pub v2: bool,
     /// Sensor sampling period in seconds.
     pub period: u64,
     /// Observation window size in samples.
@@ -178,7 +173,7 @@ pub struct FederateArgs {
     /// Uplink backoff jitter ceiling as a percentage (0 = fully
     /// deterministic, the drill setting).
     pub jitter_pct: u32,
-    /// Readings per pipelined v2 batch.
+    /// Readings per uplink batch.
     pub batch_size: usize,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
@@ -283,12 +278,12 @@ USAGE:
                     [--fsync never|batch:N|always] [--watermark SECS]
                     [--silence-deadline SECS] [--checkpoint-every N]
                     [--wal-retain-bytes N] [--wal-segment-bytes N]
-                    [--crash-after N] [--credit-window N] [--v1-only]
+                    [--crash-after N] [--credit-window N]
                     [--epoch N] [--quiet]
   sentinet replay-wal --wal-dir DIR [--period SECS] [--window SAMPLES]
                     [--trim FRACTION] [--watermark SECS] [--quiet]
   sentinet federate <trace.csv> --wal-root DIR [--partitions N]
-                    [--standbys N] [--protocol v1|v2] [--period SECS]
+                    [--standbys N] [--period SECS]
                     [--window SAMPLES] [--trim FRACTION]
                     [--fsync never|batch:N|always] [--watermark SECS]
                     [--checkpoint-every N] [--silence-deadline SECS]
@@ -303,9 +298,13 @@ USAGE:
 
 LIVE INGEST (serve / replay-wal):
   serve binds a socket, prints `listening on ADDR` on stdout, and runs
-  the durable collector until a client sends Fin: every accepted frame
-  is WAL-appended before it is acked, so `kill -9` at any point (try
-  --crash-after N) resumes to a bit-identical report on restart.
+  the durable collector until a client sends Fin: every accepted batch
+  is WAL-appended (and, per --fsync, flushed) before it is acked, so
+  `kill -9` at any point (try --crash-after N) resumes to a
+  bit-identical report on restart. Clients speak one pipelined protocol: the handshake grants
+  --credit-window batches in flight (default 32) and the --watermark
+  delay, and a client never lets an open batch span more than that
+  delay, so batching cannot make readings arrive late.
   replay-wal rebuilds the report offline from a WAL directory.
   --silence-deadline 0 disables liveness tracking.
   --wal-retain-bytes N bounds the WAL on disk: segments wholly covered
@@ -316,7 +315,8 @@ LIVE INGEST (serve / replay-wal):
 FEDERATION (federate):
   federate splits the trace's sensors evenly over N collector
   partitions, spawns one `sentinet serve` child per partition, and
-  routes every reading through the real uplink. A partition that stops
+  routes every reading through the real pipelined uplink in batches
+  of up to --batch-size readings (default 8). A partition that stops
   acking turns suspect; once its last ack trails the stream clock by
   more than --silence-deadline it is declared dead and a standby
   adopts its WAL (checkpoint snapshot restore + tail replay), with the
@@ -543,7 +543,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 wal_segment_bytes: None,
                 crash_after: None,
                 credit_window: 32,
-                v1_only: false,
                 epoch: 0,
                 quiet: false,
             };
@@ -620,7 +619,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                         }
                         parsed.credit_window = credits;
                     }
-                    "--v1-only" => parsed.v1_only = true,
                     "--epoch" => {
                         parsed.epoch = take_value(flag, &mut it)?
                             .parse()
@@ -694,7 +692,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                 wal_root: String::new(),
                 partitions: 2,
                 standbys: 1,
-                v2: false,
                 period: 300,
                 window: 12,
                 trim: 0.15,
@@ -729,17 +726,6 @@ pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, Pa
                         parsed.standbys = take_value(flag, &mut it)?
                             .parse()
                             .map_err(|e| ParseError(format!("bad --standbys: {e}")))?
-                    }
-                    "--protocol" => {
-                        parsed.v2 = match take_value(flag, &mut it)? {
-                            "v1" => false,
-                            "v2" => true,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "unknown protocol {other:?} (v1|v2)"
-                                )))
-                            }
-                        }
                     }
                     "--period" => {
                         parsed.period = take_value(flag, &mut it)?
@@ -999,7 +985,6 @@ mod tests {
                 assert_eq!(a.wal_segment_bytes, None);
                 assert_eq!(a.crash_after, None);
                 assert_eq!(a.credit_window, 32);
-                assert!(!a.v1_only);
             }
             other => panic!("{other:?}"),
         }
@@ -1023,7 +1008,6 @@ mod tests {
             "40",
             "--credit-window",
             "8",
-            "--v1-only",
             "--quiet",
         ])
         .unwrap()
@@ -1037,7 +1021,6 @@ mod tests {
                 assert_eq!(a.wal_segment_bytes, Some(4096));
                 assert_eq!(a.crash_after, Some(40));
                 assert_eq!(a.credit_window, 8);
-                assert!(a.v1_only);
                 assert_eq!(a.epoch, 0);
                 assert!(a.quiet);
             }
@@ -1094,7 +1077,6 @@ mod tests {
                 assert_eq!(a.wal_root, "/tmp/fleet");
                 assert_eq!(a.partitions, 2);
                 assert_eq!(a.standbys, 1);
-                assert!(!a.v2);
                 assert_eq!(a.fsync, "batch:64");
                 assert_eq!(a.silence_deadline, 3600);
                 assert_eq!(a.kill, vec![]);
@@ -1114,8 +1096,6 @@ mod tests {
             "3",
             "--standbys",
             "0",
-            "--protocol",
-            "v2",
             "--fsync",
             "never",
             "--silence-deadline",
@@ -1143,7 +1123,6 @@ mod tests {
             Command::Federate(a) => {
                 assert_eq!(a.partitions, 3);
                 assert_eq!(a.standbys, 0);
-                assert!(a.v2);
                 assert_eq!(a.fsync, "never");
                 assert_eq!(a.silence_deadline, 900);
                 assert_eq!(a.kill, vec![(1, 40)]);
@@ -1313,11 +1292,12 @@ mod tests {
                 .to_string()
                 .contains("partitions")
         );
+        // One wire protocol: the old version switch is unknown.
         assert!(
-            parse(["federate", "t.csv", "--wal-root", "w", "--protocol", "v3"])
+            parse(["federate", "t.csv", "--wal-root", "w", "--protocol", "v2"])
                 .unwrap_err()
                 .to_string()
-                .contains("protocol")
+                .contains("unknown flag \"--protocol\"")
         );
         assert!(
             parse(["federate", "t.csv", "--wal-root", "w", "--kill", "7:10"])

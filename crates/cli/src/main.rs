@@ -261,7 +261,6 @@ fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::start(ServerConfig {
         bind: a.bind.clone(),
         credit_window: a.credit_window,
-        v1_only: a.v1_only,
         ..ServerConfig::default()
     })?;
     // Scripts (and the crash-recovery tests) parse this line to learn
@@ -270,8 +269,8 @@ fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     println!("listening on {}", server.addr());
     let stats = server.run(&mut collector)?;
     eprintln!(
-        "served {} connection(s), {} dropped on bad frames",
-        stats.connections, stats.bad_frames
+        "served {} connection(s), {} dropped on bad frames, {} on bare data frames",
+        stats.connections, stats.bad_frames, stats.data_frames
     );
     for e in &stats.frame_errors {
         eprintln!("  dropped connection: {e}");
@@ -335,11 +334,7 @@ fn run_federate(a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
         binary: std::env::current_exe()?,
         wal_root: a.wal_root.clone().into(),
         standbys: a.standbys,
-        protocol: if a.v2 {
-            WireProtocol::V2
-        } else {
-            WireProtocol::V1
-        },
+        protocol: WireProtocol::V2,
         serve_flags: vec![
             "--period".into(),
             a.period.to_string(),

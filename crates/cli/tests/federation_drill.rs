@@ -7,102 +7,11 @@
 //! standby the partition must orphan fail-stop: visible, NACK-counted,
 //! exit status 3.
 //!
-//! The same CI knobs as the gateway crash tests sweep the matrix:
-//! `SENTINET_TEST_FSYNC` picks the children's fsync policy and
-//! `SENTINET_TEST_PROTOCOL=v2` drives the pipelined uplink.
+//! See `drill/mod.rs` for the shared harness and its fsync knob.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod drill;
 
-fn fsync_policy() -> String {
-    std::env::var("SENTINET_TEST_FSYNC").unwrap_or_else(|_| "never".into())
-}
-
-fn pipelined() -> bool {
-    std::env::var("SENTINET_TEST_PROTOCOL").as_deref() == Ok("v2")
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("sentinet-federation-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn sentinet(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sentinet"))
-        .args(args)
-        .output()
-        .expect("run sentinet")
-}
-
-/// Simulates the shared drill trace: 6 sensors, 2 clean days.
-fn simulate_trace(dir: &Path) -> String {
-    std::fs::create_dir_all(dir).expect("trace dir");
-    let trace = dir
-        .join("trace.csv")
-        .to_str()
-        .expect("utf8 path")
-        .to_string();
-    let out = sentinet(&[
-        "simulate",
-        &trace,
-        "--days",
-        "2",
-        "--sensors",
-        "6",
-        "--seed",
-        "3",
-    ]);
-    assert!(out.status.success(), "simulate failed: {out:?}");
-    trace
-}
-
-/// Runs `federate` over three partitions with the drill-tuned uplink
-/// (fast timeouts, deterministic backoff).
-fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
-    let wal_root = wal_root.to_str().expect("utf8 path");
-    // The v2 reorder watermark is co-tuned with the batch span, same
-    // as the gateway crash tests (DESIGN.md §14.4).
-    let watermark = if pipelined() { "4800" } else { "1800" };
-    let mut args = vec![
-        "federate",
-        trace,
-        "--wal-root",
-        wal_root,
-        "--partitions",
-        "3",
-        "--checkpoint-every",
-        "16",
-        "--watermark",
-        watermark,
-        "--ack-timeout-ms",
-        "150",
-        "--max-attempts",
-        "3",
-        "--backoff-base-ms",
-        "5",
-        "--backoff-cap-ms",
-        "20",
-        "--jitter-pct",
-        "0",
-    ];
-    let fsync = fsync_policy();
-    args.extend(["--fsync", &fsync]);
-    if pipelined() {
-        args.extend(["--protocol", "v2"]);
-    }
-    args.extend(extra);
-    sentinet(&args)
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
-}
+use drill::{federate, simulate_trace, stderr_of, stdout_of, tmpdir};
 
 #[test]
 fn sigkill_failover_reproduces_the_baseline_byte_for_byte() {
@@ -145,9 +54,9 @@ fn sigkill_failover_reproduces_the_baseline_byte_for_byte() {
     // Detection honours the silence deadline on the stream clock:
     // death is declared only after the deadline elapsed, and not
     // unboundedly later. The ack watermark lags the kill by at most
-    // one flush span (v2: flush_every 32 readings over 2 sensors at
-    // 300 s period = 4800 stream-seconds; v1 acks every reading), so
-    // that span plus one sampling tick bounds the declaration.
+    // one flush span (flush_every 32 readings over 2 sensors at 300 s
+    // period = 4800 stream-seconds), so that span plus one sampling
+    // tick bounds the declaration.
     let dead = events
         .lines()
         .find(|l| l.contains("partition 1 dead at"))
@@ -167,7 +76,7 @@ fn sigkill_failover_reproduces_the_baseline_byte_for_byte() {
         at - last > deadline,
         "death declared before the deadline elapsed: {dead}"
     );
-    let ack_lag = if pipelined() { 4800 } else { 0 };
+    let ack_lag = 4800;
     assert!(
         at - last <= deadline + ack_lag + 300,
         "death declared late: {dead}"

@@ -8,7 +8,7 @@
 //! typed rejection, counted and visible in its accounting. A stale
 //! *restart* must refuse to open at all.
 
-use sentinet_gateway::{SensorUplink, UplinkConfig};
+use sentinet_gateway::{PipelinedConfig, PipelinedUplink, UplinkError};
 use sentinet_sim::SensorId;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -75,15 +75,27 @@ impl Serve {
 
 /// A drill-tuned uplink announcing `epoch` in its Hello: fast
 /// deterministic retries so a NACK streak exhausts in milliseconds.
-fn uplink(addr: &str, epoch: u64) -> SensorUplink {
-    let mut config = UplinkConfig::new(addr);
-    config.ack_timeout = Duration::from_millis(200);
-    config.max_attempts = 3;
-    config.backoff_base = Duration::from_millis(5);
-    config.backoff_cap = Duration::from_millis(20);
-    config.jitter_pct = 0;
-    config.epoch = epoch;
-    SensorUplink::new(config)
+fn uplink(addr: &str, epoch: u64) -> PipelinedUplink {
+    let mut config = PipelinedConfig::new(addr);
+    config.transport.ack_timeout = Duration::from_millis(200);
+    config.transport.max_attempts = 3;
+    config.transport.backoff_base = Duration::from_millis(5);
+    config.transport.backoff_cap = Duration::from_millis(20);
+    config.transport.jitter_pct = 0;
+    config.transport.epoch = epoch;
+    PipelinedUplink::new(config)
+}
+
+/// Sends one reading under an explicit sequence number and waits for
+/// its acknowledgment.
+fn append(
+    uplink: &mut PipelinedUplink,
+    seq: u64,
+    time: u64,
+    values: &[f64],
+) -> Result<(), UplinkError> {
+    uplink.send_at(SensorId(0), seq, time, values)?;
+    uplink.flush()
 }
 
 #[test]
@@ -93,25 +105,21 @@ fn healed_stale_owner_fail_stops_with_counted_nacks() {
     // Epoch-1 owner accepts writes normally.
     let a = Serve::spawn(&dir, 1);
     let mut ua = uplink(&a.addr, 1);
-    ua.send_at(SensorId(0), 0, 300, &[20.0, 50.0])
-        .expect("pre-partition append must ack");
-    ua.send_at(SensorId(0), 1, 600, &[21.0, 51.0])
-        .expect("pre-partition append must ack");
+    append(&mut ua, 0, 300, &[20.0, 50.0]).expect("pre-partition append must ack");
+    append(&mut ua, 1, 600, &[21.0, 51.0]).expect("pre-partition append must ack");
 
     // The partition: the controller stops reaching A, declares it
     // dead, and a standby adopts the WAL at epoch 2 — committing the
     // fence token beside the log while A is still running.
     let b = Serve::spawn(&dir, 2);
     let mut ub = uplink(&b.addr, 2);
-    ub.send_at(SensorId(0), 2, 900, &[22.0, 52.0])
-        .expect("the adopting owner must accept");
+    append(&mut ub, 2, 900, &[22.0, 52.0]).expect("the adopting owner must accept");
 
     // The partition heals: A is reachable again and a stale client
     // offers it the same coordinate. A must NACK — its deliver path
     // re-reads the fence token from disk — and never append behind
     // the new owner's back.
-    ua.send_at(SensorId(0), 2, 900, &[66.0, 66.0])
-        .expect_err("a fenced owner must refuse the append");
+    append(&mut ua, 2, 900, &[66.0, 66.0]).expect_err("a fenced owner must refuse the append");
     assert!(
         ua.stats().nacks > 0,
         "the refusal must be a typed NACK, not a timeout: {:?}",
@@ -119,8 +127,7 @@ fn healed_stale_owner_fail_stops_with_counted_nacks() {
     );
 
     // The new owner is undisturbed by the zombie's attempt.
-    ub.send_at(SensorId(0), 3, 1200, &[23.0, 53.0])
-        .expect("the live owner must keep accepting");
+    append(&mut ub, 3, 1200, &[23.0, 53.0]).expect("the live owner must keep accepting");
 
     let _ = ua.finish();
     let stale_err = a.finish();

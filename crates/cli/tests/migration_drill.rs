@@ -1,6 +1,6 @@
 //! Whole-process live-migration drills: `sentinet federate --split`
 //! splits a hot partition while real `sentinet serve` children ingest
-//! the stream over the pipelined v2 uplink, and a `--kill` coordinate
+//! the stream over the pipelined uplink, and a `--kill` coordinate
 //! equal to the split trigger SIGKILLs the source exactly when the
 //! handoff's cut probe runs. The controller must fail the source over
 //! and retry the cut at the identical WAL coordinate, producing a
@@ -8,94 +8,11 @@
 //! same migration schedule. The mirror drill kills the rebalance
 //! destination at the adopt step.
 //!
-//! `SENTINET_TEST_FSYNC` sweeps the children's fsync policy as in the
-//! other federation drills; the protocol is pinned to v2 here because
-//! the drill's point is a handoff racing live pipelined ingest.
+//! See `drill/mod.rs` for the shared harness and its fsync knob.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod drill;
 
-fn fsync_policy() -> String {
-    std::env::var("SENTINET_TEST_FSYNC").unwrap_or_else(|_| "never".into())
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("sentinet-migration-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn sentinet(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sentinet"))
-        .args(args)
-        .output()
-        .expect("run sentinet")
-}
-
-/// Simulates the shared drill trace: 6 sensors, 2 clean days.
-fn simulate_trace(dir: &Path) -> String {
-    std::fs::create_dir_all(dir).expect("trace dir");
-    let trace = dir
-        .join("trace.csv")
-        .to_str()
-        .expect("utf8 path")
-        .to_string();
-    let out = sentinet(&[
-        "simulate",
-        &trace,
-        "--days",
-        "2",
-        "--sensors",
-        "6",
-        "--seed",
-        "3",
-    ]);
-    assert!(out.status.success(), "simulate failed: {out:?}");
-    trace
-}
-
-/// Runs `federate` over three v2 partitions with the drill-tuned
-/// uplink (fast timeouts, deterministic backoff, v2 watermark).
-fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
-    let wal_root = wal_root.to_str().expect("utf8 path");
-    let mut args = vec![
-        "federate",
-        trace,
-        "--wal-root",
-        wal_root,
-        "--partitions",
-        "3",
-        "--protocol",
-        "v2",
-        "--checkpoint-every",
-        "16",
-        "--watermark",
-        "4800",
-        "--ack-timeout-ms",
-        "150",
-        "--max-attempts",
-        "3",
-        "--backoff-base-ms",
-        "5",
-        "--backoff-cap-ms",
-        "20",
-        "--jitter-pct",
-        "0",
-    ];
-    let fsync = fsync_policy();
-    args.extend(["--fsync", &fsync]);
-    args.extend(extra);
-    sentinet(&args)
-}
-
-fn stdout_of(out: &Output) -> String {
-    String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
-}
+use drill::{federate, simulate_trace, stderr_of, stdout_of, tmpdir};
 
 fn completed_cursor(events: &str) -> u64 {
     let line = events

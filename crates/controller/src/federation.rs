@@ -61,7 +61,7 @@ impl fmt::Display for BackendError {
 /// What a link did with one reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkReply {
-    /// Durably admitted (v1 stop-and-wait, or in-process deliver).
+    /// Durably admitted (the in-process backend's per-reading deliver).
     Acked,
     /// Accepted into a pipelined window; durable only after the next
     /// successful [`PartitionLink::flush`].

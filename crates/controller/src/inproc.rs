@@ -19,8 +19,9 @@
 //!   or the fleet split-brained.
 //! - **Pipelined mode**: links buffer readings and flush them as
 //!   coalesced `deliver_batch` calls with an explicit `sync_wal`,
-//!   mirroring the protocol-v2 credit-window shape, so one campaign
-//!   covers both delivery disciplines.
+//!   mirroring the wire protocol's credit-window shape; the default
+//!   per-reading mode is the reference it is checked against, so one
+//!   campaign covers both delivery disciplines.
 
 use crate::chaos::{CollectorFault, DrillPlan, NetFault};
 use crate::federation::{
@@ -122,7 +123,7 @@ impl InProcessBackend {
     }
 
     /// Switches links to the pipelined mode: readings buffer on the
-    /// link and flush as coalesced batches, mirroring protocol v2.
+    /// link and flush as coalesced batches, mirroring the wire protocol.
     #[must_use]
     pub fn with_pipelined(mut self, pipelined: bool) -> Self {
         self.pipelined = pipelined;
@@ -190,8 +191,8 @@ pub struct InProcessLink {
 }
 
 impl InProcessLink {
-    /// Delivers one reading straight through the collector (the v1
-    /// stop-and-wait shape).
+    /// Delivers one reading straight through the collector (the
+    /// per-reading reference shape).
     fn deliver_one(
         &mut self,
         sensor: SensorId,
@@ -342,8 +343,7 @@ impl PartitionLink for InProcessLink {
         };
         for _ in 0..passes {
             // Coalesce consecutive same-sensor sequence runs into
-            // batch deliveries — the shape a v2 credit window drains
-            // in.
+            // batch deliveries — the shape a credit window drains in.
             let mut i = 0;
             while i < window.len() {
                 let sensor = window[i].0;

@@ -212,7 +212,7 @@ pub struct CampaignSummary {
     pub disk_faults: u64,
     /// Episodes that composed a disk fault with the rest.
     pub disk_episodes: u32,
-    /// Episodes run in the pipelined (protocol-v2 shaped) mode.
+    /// Episodes run in the pipelined (wire-protocol shaped) mode.
     pub pipelined_episodes: u32,
     /// Completed failovers across all episodes.
     pub failovers: u64,

@@ -1,6 +1,6 @@
 //! Whole-process backend: each partition owner is a spawned
-//! `sentinet serve` child, reached over the real socket transport
-//! (stop-and-wait v1 or pipelined v2). Fencing is a real SIGKILL;
+//! `sentinet serve` child, reached over the real pipelined socket
+//! transport. Fencing is a real SIGKILL;
 //! the drill coordinates SIGKILL the child mid-stream, which is what
 //! the federation integration tests use to prove that kill + failover
 //! reproduces the uninterrupted run byte for byte.
@@ -11,18 +11,18 @@ use crate::federation::{
 use crate::partition::PartitionId;
 use sentinet_gateway::{
     probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, GatewayConfig,
-    GatewayReport, PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkStats,
+    GatewayReport, PipelinedConfig, PipelinedUplink, UplinkConfig, UplinkStats,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
-/// Which wire protocol the uplinks speak.
+/// Which wire protocol the uplinks speak. There is one value: it is
+/// kept only so existing `ProcessConfig` struct literals (the
+/// benchmark's among them) still compile, and goes once they drop it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireProtocol {
-    /// Stop-and-wait `Data`/`Ack`.
-    V1,
     /// Pipelined `DataBatch`/`AckUpTo` under a credit window.
     V2,
 }
@@ -38,7 +38,9 @@ pub struct ProcessConfig {
     pub wal_root: PathBuf,
     /// Adoptions (epoch > 1 starts) allowed before partitions orphan.
     pub standbys: usize,
-    /// Wire protocol for every uplink.
+    /// Wire protocol for every uplink. It has one value and is
+    /// ignored; kept only so existing struct literals (the
+    /// benchmark's among them) still compile.
     pub protocol: WireProtocol,
     /// Extra flags appended to `serve --wal-dir … --bind 127.0.0.1:0`
     /// — fsync policy, pipeline shape, … Must match `replay` on every
@@ -46,7 +48,7 @@ pub struct ProcessConfig {
     pub serve_flags: Vec<String>,
     /// Uplink template; `connect` is overwritten per child.
     pub uplink: UplinkConfig,
-    /// Readings per v2 batch.
+    /// Readings per batch.
     pub batch_size: usize,
     /// SIGKILL coordinates: `(partition, after)` kills the epoch-1
     /// owner of `partition` once `after` readings have been handed to
@@ -81,18 +83,13 @@ impl ProcessBackend {
     }
 }
 
-enum ChildUplink {
-    V1(SensorUplink),
-    V2(PipelinedUplink),
-}
-
 /// Link to one `sentinet serve` child.
 pub struct ProcessLink {
     child: Child,
     // Held open for the child's lifetime: dropping the pipe would
     // EPIPE the child's final report print.
     _stdout: BufReader<ChildStdout>,
-    uplink: ChildUplink,
+    uplink: PipelinedUplink,
     addr: String,
     epoch: u64,
     ack_timeout: std::time::Duration,
@@ -104,7 +101,7 @@ impl PartitionLink for ProcessLink {
     fn send(
         &mut self,
         sensor: SensorId,
-        seq: u64,
+        _seq: u64,
         time: Timestamp,
         values: &[f64],
     ) -> Result<LinkReply, LinkDown> {
@@ -117,39 +114,26 @@ impl PartitionLink for ProcessLink {
             let _ = self.child.wait();
         }
         self.handed += 1;
-        match &mut self.uplink {
-            ChildUplink::V1(uplink) => match uplink.send_at(sensor, seq, time, values) {
-                Ok(()) => Ok(LinkReply::Acked),
-                Err(e) => Err(LinkDown(e.to_string())),
-            },
-            ChildUplink::V2(uplink) => match uplink.send(sensor, time, values) {
-                // A fresh v2 uplink numbers each sensor from 0 in
-                // send order — identical to the controller's routed-
-                // log numbering, so `seq` needs no plumbing here.
-                Ok(_) => Ok(LinkReply::Pipelined),
-                Err(e) => Err(LinkDown(e.to_string())),
-            },
+        // A fresh uplink numbers each sensor from 0 in send order —
+        // identical to the controller's routed-log numbering, so `seq`
+        // needs no plumbing here.
+        match self.uplink.send(sensor, time, values) {
+            Ok(_) => Ok(LinkReply::Pipelined),
+            Err(e) => Err(LinkDown(e.to_string())),
         }
     }
 
     fn flush(&mut self) -> Result<(), LinkDown> {
-        match &mut self.uplink {
-            ChildUplink::V1(_) => Ok(()),
-            ChildUplink::V2(uplink) => uplink.flush().map_err(|e| LinkDown(e.to_string())),
-        }
+        self.uplink.flush().map_err(|e| LinkDown(e.to_string()))
     }
 
     fn stats(&self) -> UplinkStats {
-        match &self.uplink {
-            ChildUplink::V1(uplink) => uplink.stats(),
-            ChildUplink::V2(uplink) => uplink.stats(),
-        }
+        self.uplink.stats()
     }
 
     fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        // A dedicated probe connection: the v2 uplink's data socket may
-        // be mid-batch, and the v1 socket is request/response framed,
-        // so the heartbeat never rides the data path.
+        // A dedicated probe connection: the uplink's data socket may
+        // be mid-batch, so the heartbeat never rides the data path.
         probe_heartbeat(&self.addr, self.epoch, self.ack_timeout)
     }
 
@@ -256,15 +240,10 @@ impl PartitionBackend for ProcessBackend {
         // accepting writes behind the new owner's back.
         transport.epoch = epoch;
         let ack_timeout = transport.ack_timeout;
-        let uplink = match self.config.protocol {
-            WireProtocol::V1 => ChildUplink::V1(SensorUplink::new(transport)),
-            WireProtocol::V2 => {
-                let mut pc = PipelinedConfig::new("");
-                pc.transport = transport;
-                pc.batch_size = self.config.batch_size.max(1);
-                ChildUplink::V2(PipelinedUplink::new(pc))
-            }
-        };
+        let mut pc = PipelinedConfig::new("");
+        pc.transport = transport;
+        pc.batch_size = self.config.batch_size.max(1);
+        let uplink = PipelinedUplink::new(pc);
         let kill_after = if epoch == 1 {
             self.kills
                 .iter()
@@ -291,11 +270,7 @@ impl PartitionBackend for ProcessBackend {
     }
 
     fn finish(&mut self, _p: PartitionId, mut link: ProcessLink) -> Result<(), BackendError> {
-        let closed = match link.uplink {
-            ChildUplink::V1(uplink) => uplink.finish().map(|_| ()),
-            ChildUplink::V2(uplink) => uplink.finish().map(|_| ()),
-        };
-        if let Err(e) = closed {
+        if let Err(e) = link.uplink.finish() {
             let _ = link.child.kill();
             let _ = link.child.wait();
             return Err(BackendError(format!("close handshake failed: {e}")));

@@ -1,33 +1,29 @@
-//! Sensor-side clients: the stop-and-wait [`SensorUplink`] (protocol
-//! v1) and the pipelined, credit-windowed [`PipelinedUplink`]
-//! (protocol v2).
+//! The sensor-side client: the pipelined, credit-windowed
+//! [`PipelinedUplink`].
 //!
-//! The v1 uplink is stop-and-wait: each reading is framed with a
-//! per-sensor sequence number, sent, and retransmitted until the
-//! server acknowledges that exact `(sensor, seq)` — with capped
-//! exponential backoff plus seeded jitter between attempts, so a
-//! retry storm from many motes decorrelates deterministically. An I/O
-//! error tears the connection down and the next attempt reconnects,
-//! which transparently rides out a server restart: whatever lost its
-//! ack is re-sent on the new connection and the server's sequence
-//! dedup absorbs anything that was already durable.
+//! Readings are coalesced into `DataBatch` frames, many batches ride
+//! the wire unacknowledged at once (bounded by the credit window the
+//! server grants in its `HelloAck`), and the server's cumulative
+//! `AckUpTo` retires whole batches at a time. An `AckUpTo` is only
+//! ever sent for readings whose WAL extent a completed fsync covers,
+//! so the pipeline's only effect is latency hiding. On timeout, NACK,
+//! or reconnection the uplink retransmits unacked batches in order —
+//! with capped exponential backoff plus seeded jitter between
+//! attempts, so a retry storm from many motes decorrelates
+//! deterministically — and the server's sequence dedup absorbs
+//! whatever was already durable. That transparently rides out a
+//! server restart.
 //!
-//! The v2 uplink removes the per-reading round trip: readings are
-//! coalesced into `DataBatch` frames, many batches ride the wire
-//! unacknowledged at once (bounded by the credit window the server
-//! grants in its `HelloAck`), and the server's cumulative `AckUpTo`
-//! retires whole batches at a time. Durability semantics are
-//! unchanged — an `AckUpTo` is only ever sent for readings whose WAL
-//! extent a completed fsync covers — so the pipeline's only effect is
-//! latency hiding. On timeout, NACK, or reconnection the uplink
-//! retransmits unacked batches in order and the server's dedup
-//! absorbs whatever was already durable.
+//! Batching must not make the collector drop readings as late. The
+//! `HelloAck` carries the collector's reorder watermark delay, and no
+//! open batch is left unsealed once a newer reading is more than that
+//! delay ahead of its first reading (DESIGN.md §14.4).
 //!
-//! [`SensorUplink::send_at`] exposes the raw `(seq, …)` coordinate so
-//! the network simulator can inject duplicates and reordering through
-//! the real client path.
+//! [`PipelinedUplink::send_at`] exposes the raw `(seq, …)` coordinate
+//! so the network simulator can inject duplicates and reordering
+//! through the real client path.
 
-use crate::frame::{encode_frame, FrameBuffer, Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::frame::{encode_frame, FrameBuffer, Message, PROTOCOL_VERSION};
 use crate::net::{is_timeout, Stream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,8 +54,7 @@ pub struct UplinkConfig {
     /// are clamped to 100.
     pub jitter_pct: u32,
     /// Fence epoch carried in the Hello handshake (0 = unfenced; the
-    /// field is then omitted from the wire so pre-fencing servers and
-    /// the pinned v1 Hello bytes are untouched). Federation links set
+    /// field is then omitted from the wire). Federation links set
     /// this to the partition's failover epoch so a collector that was
     /// partitioned away learns it has been superseded the moment any
     /// newer-epoch peer connects.
@@ -160,260 +155,9 @@ pub struct UplinkStats {
     /// Connections re-established after a failure (the first connect
     /// is not counted).
     pub reconnects: u64,
-    /// Frames (v1) or batches (v2) fully acknowledged.
+    /// Batches fully acknowledged: each retires once, when the
+    /// first cumulative `AckUpTo` covering its last reading arrives.
     pub acked: u64,
-}
-
-/// The sensor-side client. One uplink may carry any number of
-/// sensors' streams (a cluster head relaying for its motes).
-pub struct SensorUplink {
-    config: UplinkConfig,
-    conn: Option<(Stream, FrameBuffer)>,
-    next_seq: BTreeMap<SensorId, u64>,
-    rng: StdRng,
-    /// Frames retransmitted at least once (for harness assertions).
-    pub retransmits: u64,
-    stats: UplinkStats,
-    ever_connected: bool,
-}
-
-impl fmt::Debug for SensorUplink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SensorUplink")
-            .field("connect", &self.config.connect)
-            .field("retransmits", &self.retransmits)
-            .finish()
-    }
-}
-
-impl SensorUplink {
-    /// A disconnected uplink; the first send connects lazily.
-    pub fn new(config: UplinkConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.jitter_seed);
-        Self {
-            config,
-            conn: None,
-            next_seq: BTreeMap::new(),
-            rng,
-            retransmits: 0,
-            stats: UplinkStats::default(),
-            ever_connected: false,
-        }
-    }
-
-    /// Transport counters so far (retransmits, timeouts, NACKs, …).
-    pub fn stats(&self) -> UplinkStats {
-        let mut stats = self.stats;
-        stats.retransmits = self.retransmits;
-        stats
-    }
-
-    /// Sends one reading, assigning the sensor's next sequence number;
-    /// returns it. Blocks until acked or attempts are exhausted.
-    ///
-    /// # Errors
-    ///
-    /// [`UplinkError::Exhausted`] when every attempt times out.
-    pub fn send(
-        &mut self,
-        sensor: SensorId,
-        time: Timestamp,
-        values: &[f64],
-    ) -> Result<u64, UplinkError> {
-        let seq = {
-            let next = self.next_seq.entry(sensor).or_insert(0);
-            let seq = *next;
-            *next += 1;
-            seq
-        };
-        self.send_at(sensor, seq, time, values)?;
-        Ok(seq)
-    }
-
-    /// Sends one frame under an explicit sequence number — the hook
-    /// the network simulator uses to inject duplicate deliveries
-    /// through the real retry path.
-    ///
-    /// # Errors
-    ///
-    /// [`UplinkError::Exhausted`] when every attempt times out.
-    pub fn send_at(
-        &mut self,
-        sensor: SensorId,
-        seq: u64,
-        time: Timestamp,
-        values: &[f64],
-    ) -> Result<(), UplinkError> {
-        let frame = encode_frame(&Message::Data {
-            sensor,
-            seq,
-            time,
-            values: values.to_vec(),
-        });
-        for attempt in 0..self.config.max_attempts {
-            if attempt > 0 {
-                self.retransmits += 1;
-                self.backoff(attempt);
-            }
-            if self.attempt(&frame, |msg| match msg {
-                Message::Ack { sensor: s, seq: q } if *s == sensor && *q == seq => Reply::Acked,
-                // A NACK means the server is alive but refused the
-                // record (poisoned storage or budget shedding): fail
-                // the attempt now instead of waiting out the ack
-                // deadline, and let backoff pace the re-offer.
-                Message::Nack { sensor: s, seq: q } if *s == sensor && *q == seq => Reply::Nacked,
-                _ => Reply::Unrelated,
-            }) {
-                return Ok(());
-            }
-        }
-        Err(UplinkError::Exhausted {
-            sensor,
-            seq,
-            attempts: self.config.max_attempts,
-        })
-    }
-
-    /// Sends one `Heartbeat` probe (carrying the uplink's configured
-    /// fence epoch) and waits for the `HeartbeatAck`; returns the
-    /// server's committed fence epoch and last checkpointed WAL
-    /// cursor, or `None` when every attempt went unanswered. The
-    /// federation tier uses the pair as a liveness signal that
-    /// survives stream silence and as the pre-warm coordinate for
-    /// standbys.
-    pub fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        let frame = encode_frame(&Message::Heartbeat {
-            epoch: self.config.epoch,
-        });
-        let reply = std::cell::Cell::new(None);
-        for attempt in 0..self.config.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
-            if self.attempt(&frame, |msg| match msg {
-                Message::HeartbeatAck {
-                    epoch,
-                    checkpoint_cursor,
-                } => {
-                    reply.set(Some((*epoch, *checkpoint_cursor)));
-                    Reply::Acked
-                }
-                _ => Reply::Unrelated,
-            }) {
-                return reply.get();
-            }
-        }
-        None
-    }
-
-    /// Ends the stream: sends `Fin` until `FinAck` arrives, then
-    /// closes the connection.
-    ///
-    /// # Errors
-    ///
-    /// [`UplinkError::FinExhausted`] when every attempt times out.
-    pub fn finish(mut self) -> Result<(), UplinkError> {
-        let frame = encode_frame(&Message::Fin);
-        for attempt in 0..self.config.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
-            if self.attempt(&frame, |msg| match msg {
-                Message::FinAck => Reply::Acked,
-                _ => Reply::Unrelated,
-            }) {
-                if let Some((stream, _)) = self.conn.take() {
-                    let _ = stream.shutdown();
-                }
-                return Ok(());
-            }
-        }
-        Err(UplinkError::FinExhausted {
-            attempts: self.config.max_attempts,
-        })
-    }
-
-    /// One attempt: ensure a connection, write the frame, wait for a
-    /// message `classify` marks as the ack or nack. Returns `false` on
-    /// nack or timeout (keeping the connection) or I/O error (dropping
-    /// it so the next attempt redials).
-    fn attempt(&mut self, frame: &[u8], classify: impl Fn(&Message) -> Reply) -> bool {
-        if !self.ensure_connected() {
-            return false;
-        }
-        let Some((mut stream, mut fb)) = self.conn.take() else {
-            return false;
-        };
-        self.stats.frames_sent += 1;
-        match attempt_on(
-            &mut stream,
-            &mut fb,
-            frame,
-            &classify,
-            self.config.ack_timeout,
-        ) {
-            Attempt::Acked => {
-                self.stats.acked += 1;
-                self.conn = Some((stream, fb));
-                true
-            }
-            Attempt::Timeout => {
-                // The server is slow: keep the connection, the
-                // retransmit rides the same stream.
-                self.stats.timeouts += 1;
-                self.conn = Some((stream, fb));
-                false
-            }
-            Attempt::Nacked => {
-                // Alive but refusing; same connection, paced re-offer.
-                self.stats.nacks += 1;
-                self.conn = Some((stream, fb));
-                false
-            }
-            Attempt::Broken => {
-                let _ = stream.shutdown();
-                false
-            }
-        }
-    }
-
-    fn ensure_connected(&mut self) -> bool {
-        if self.conn.is_some() {
-            return true;
-        }
-        let Ok(stream) = Stream::connect(&self.config.connect) else {
-            return false;
-        };
-        // Read in short slices so the ack deadline stays responsive.
-        let per_read = (self.config.ack_timeout / 4).max(Duration::from_millis(10));
-        if stream.set_read_timeout(Some(per_read)).is_err() {
-            return false;
-        }
-        let mut stream = stream;
-        // The stop-and-wait client speaks v1 on the wire forever: its
-        // bytes (and its per-frame ack discipline) must stay exactly
-        // what v1 servers and the crash-recovery tests pinned down.
-        let hello = encode_frame(&Message::Hello {
-            version: PROTOCOL_V1,
-            epoch: self.config.epoch,
-        });
-        if stream.write_all(&hello).is_err() {
-            return false;
-        }
-        if self.ever_connected {
-            self.stats.reconnects += 1;
-        }
-        self.ever_connected = true;
-        self.conn = Some((stream, FrameBuffer::new()));
-        true
-    }
-
-    /// Sleeps `min(cap, base · 2^(attempt−1))` plus up to
-    /// `jitter_pct`% seeded jitter, so synchronized retry storms from
-    /// many motes spread out deterministically.
-    fn backoff(&mut self, attempt: u32) {
-        backoff_sleep(&mut self.rng, &self.config, attempt);
-    }
 }
 
 /// Capped exponential backoff delay: `min(cap, base · 2^(attempt−1))`
@@ -442,8 +186,7 @@ pub fn backoff_delay(
     Duration::from_millis(delay + jitter)
 }
 
-/// Sleeps for [`backoff_delay`] under the uplink's backoff knobs —
-/// shared by both clients.
+/// Sleeps for [`backoff_delay`] under the uplink's backoff knobs.
 fn backoff_sleep(rng: &mut StdRng, config: &UplinkConfig, attempt: u32) {
     std::thread::sleep(backoff_delay(
         rng,
@@ -454,23 +197,9 @@ fn backoff_sleep(rng: &mut StdRng, config: &UplinkConfig, attempt: u32) {
     ));
 }
 
-/// How one received message relates to the frame in flight.
-enum Reply {
-    /// The matching ack: the frame is durable.
-    Acked,
-    /// The matching NACK: the server refused the frame.
-    Nacked,
-    /// Something else (e.g. a stale ack from an earlier retransmit).
-    Unrelated,
-}
-
-/// Result of one write-and-await-ack attempt.
-enum Attempt {
-    /// The expected ack arrived.
-    Acked,
-    /// The server NACKed the frame (connection still healthy).
-    Nacked,
-    /// The deadline passed without a reply (connection still healthy).
+/// Why [`await_reply`] returned without the reply it waited for.
+enum NoReply {
+    /// The deadline passed (connection still healthy).
     Timeout,
     /// The connection failed (I/O error, EOF, or a frame error).
     Broken,
@@ -479,8 +208,7 @@ enum Attempt {
 /// Pipelined-uplink tuning on top of the shared transport knobs.
 #[derive(Debug, Clone)]
 pub struct PipelinedConfig {
-    /// Endpoint, ack deadline, attempt budget, and backoff — shared
-    /// with the stop-and-wait client.
+    /// Endpoint, ack deadline, attempt budget, backoff, and epoch.
     pub transport: UplinkConfig,
     /// Readings coalesced into one `DataBatch` frame.
     pub batch_size: usize,
@@ -517,23 +245,43 @@ struct Batch {
 }
 
 impl Batch {
+    /// Encodes `readings` (seqs `first_seq..`) as one unsent batch.
+    fn new(sensor: SensorId, first_seq: u64, readings: Vec<(Timestamp, Vec<f64>)>) -> Self {
+        let len = readings.len();
+        let frame = encode_frame(&Message::DataBatch {
+            sensor,
+            first_seq,
+            readings,
+        });
+        Self {
+            sensor,
+            first_seq,
+            len,
+            frame,
+            sent_at: Instant::now(),
+            attempts: 0,
+        }
+    }
+
     fn last_seq(&self) -> u64 {
         self.first_seq + self.len as u64 - 1
     }
 }
 
-/// The pipelined, credit-windowed v2 client. Readings are buffered
-/// per sensor, sealed into `DataBatch` frames, and streamed with up
-/// to a window of batches unacknowledged; the server's cumulative
+/// The pipelined, credit-windowed client. Readings are buffered per
+/// sensor, sealed into `DataBatch` frames, and streamed with up to a
+/// window of batches unacknowledged; the server's cumulative
 /// `AckUpTo` (sent only after the covering fsync) retires them.
 /// Unacked batches are retransmitted on timeout, NACK, and
 /// reconnection — the server's dedup absorbs anything already
-/// durable, exactly as for the stop-and-wait client.
+/// durable.
 pub struct PipelinedUplink {
     config: PipelinedConfig,
     conn: Option<(Stream, FrameBuffer)>,
     /// Negotiated window (min of our ceiling and the server grant).
     credits: usize,
+    /// The collector's reorder watermark delay, from the `HelloAck`.
+    watermark_delay: Timestamp,
     next_seq: BTreeMap<SensorId, u64>,
     /// Per-sensor open batch: first seq + buffered readings.
     buffers: BTreeMap<SensorId, OpenBatch>,
@@ -566,6 +314,7 @@ impl PipelinedUplink {
             config,
             conn: None,
             credits: 1,
+            watermark_delay: 0,
             next_seq: BTreeMap::new(),
             buffers: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -587,6 +336,13 @@ impl PipelinedUplink {
     /// Blocks only when the credit window is exhausted (waiting for
     /// an ack to free a slot).
     ///
+    /// Readings must arrive in time order across sensors (as routed
+    /// input does). Before `time` is buffered, every open batch whose
+    /// first reading is older than `time − watermark_delay` is sealed
+    /// and sent, so each reading on the wire lies within the
+    /// collector's watermark delay of the newest reading sent before
+    /// it, and the collector never drops it as late.
+    ///
     /// # Errors
     ///
     /// Any [`UplinkError`] once a batch (or the handshake) exhausts
@@ -597,6 +353,12 @@ impl PipelinedUplink {
         time: Timestamp,
         values: &[f64],
     ) -> Result<u64, UplinkError> {
+        // The sealing rule needs the collector's watermark delay, which
+        // only the handshake reports: connect before buffering anything.
+        if !self.ever_connected {
+            self.ensure_connected()?;
+        }
+        self.seal_older_than(time.saturating_sub(self.watermark_delay))?;
         let seq = {
             let next = self.next_seq.entry(sensor).or_insert(0);
             let seq = *next;
@@ -620,6 +382,29 @@ impl PipelinedUplink {
             self.pump(false)?;
         }
         Ok(seq)
+    }
+
+    /// Sends one reading under an explicit sequence number as its own
+    /// single-reading batch — the hook the network simulator uses to
+    /// inject duplicate and reordered deliveries through the real
+    /// retransmit path. It bypasses the automatic numbering and the
+    /// sealing rule of [`send`](Self::send), so a stream should be
+    /// driven wholly through one or the other.
+    ///
+    /// # Errors
+    ///
+    /// Any [`UplinkError`] once a batch (or the handshake) exhausts
+    /// its attempts.
+    pub fn send_at(
+        &mut self,
+        sensor: SensorId,
+        seq: u64,
+        time: Timestamp,
+        values: &[f64],
+    ) -> Result<(), UplinkError> {
+        self.queue
+            .push_back(Batch::new(sensor, seq, vec![(time, values.to_vec())]));
+        self.pump(false)
     }
 
     /// Seals every buffered reading and blocks until every in-flight
@@ -657,25 +442,24 @@ impl PipelinedUplink {
             let Some((mut stream, mut fb)) = self.conn.take() else {
                 continue;
             };
-            let classify = |msg: &Message| match msg {
-                Message::FinAck => Reply::Acked,
-                _ => Reply::Unrelated,
+            let reply = match stream.write_all(&frame).and_then(|()| stream.flush()) {
+                Ok(()) => await_reply(
+                    &mut stream,
+                    &mut fb,
+                    self.config.transport.ack_timeout,
+                    |msg| matches!(msg, Message::FinAck).then_some(()),
+                ),
+                Err(_) => Err(NoReply::Broken),
             };
-            match attempt_on(
-                &mut stream,
-                &mut fb,
-                &frame,
-                &classify,
-                self.config.transport.ack_timeout,
-            ) {
-                Attempt::Acked => {
+            match reply {
+                Ok(()) => {
                     let _ = stream.shutdown();
                     return Ok(self.stats);
                 }
-                Attempt::Timeout | Attempt::Nacked => {
-                    self.conn = Some((stream, fb));
-                }
-                Attempt::Broken => {
+                // The server is slow: keep the connection, the retry
+                // rides the same stream.
+                Err(NoReply::Timeout) => self.conn = Some((stream, fb)),
+                Err(NoReply::Broken) => {
                     let _ = stream.shutdown();
                 }
             }
@@ -694,20 +478,27 @@ impl PipelinedUplink {
         if readings.is_empty() {
             return;
         }
-        let len = readings.len();
-        let frame = encode_frame(&Message::DataBatch {
-            sensor,
-            first_seq,
-            readings,
-        });
-        self.queue.push_back(Batch {
-            sensor,
-            first_seq,
-            len,
-            frame,
-            sent_at: Instant::now(),
-            attempts: 0,
-        });
+        self.queue
+            .push_back(Batch::new(sensor, first_seq, readings));
+    }
+
+    /// Seals, oldest first, every open batch whose first reading is
+    /// older than `horizon`, and streams them.
+    fn seal_older_than(&mut self, horizon: Timestamp) -> Result<(), UplinkError> {
+        let mut stale: Vec<(Timestamp, SensorId)> = self
+            .buffers
+            .iter()
+            .filter_map(|(&sensor, (_, readings))| Some((readings.first()?.0, sensor)))
+            .filter(|&(first, _)| first < horizon)
+            .collect();
+        if stale.is_empty() {
+            return Ok(());
+        }
+        stale.sort_unstable();
+        for (_, sensor) in stale {
+            self.seal(sensor);
+        }
+        self.pump(false)
     }
 
     /// The engine: keeps the wire full. Sends queued batches while
@@ -860,8 +651,8 @@ impl PipelinedUplink {
                         attempts: batch.attempts,
                     });
                 }
-                // Alive but refusing (poisoned storage, budget): pace
-                // the re-offer like the stop-and-wait client does.
+                // Alive but refusing (poisoned storage, budget, fence):
+                // pace the re-offer instead of hammering the server.
                 backoff_sleep(&mut self.rng, &self.config.transport, batch.attempts);
                 self.queue.push_front(batch);
                 Ok(true)
@@ -869,8 +660,8 @@ impl PipelinedUplink {
             Message::HelloReject { supported } => Err(UplinkError::VersionRejected {
                 supported: *supported,
             }),
-            // Stale handshake replies, v1 acks, or anything else a
-            // server might emit: not ours, not progress.
+            // Stale handshake replies or anything else a server might
+            // emit: not ours, not progress.
             _ => Ok(false),
         }
     }
@@ -881,7 +672,7 @@ impl PipelinedUplink {
         }
     }
 
-    /// Connects and completes the v2 handshake (with the transport's
+    /// Connects and completes the handshake (with the transport's
     /// attempt/backoff budget), then requeues the dead connection's
     /// in-flight window for retransmission.
     fn ensure_connected(&mut self) -> Result<(), UplinkError> {
@@ -889,70 +680,52 @@ impl PipelinedUplink {
             return Ok(());
         }
         let transport = self.config.transport.clone();
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            epoch: transport.epoch,
+        };
         for attempt in 0..transport.max_attempts {
             if attempt > 0 {
                 backoff_sleep(&mut self.rng, &transport, attempt);
             }
-            let Ok(stream) = Stream::connect(&transport.connect) else {
+            let Some(mut stream) = dial(&transport.connect, transport.ack_timeout, &hello) else {
                 continue;
             };
-            let per_read = (transport.ack_timeout / 4).max(Duration::from_millis(10));
-            if stream.set_read_timeout(Some(per_read)).is_err() {
-                continue;
-            }
-            let mut stream = stream;
-            let hello = encode_frame(&Message::Hello {
-                version: PROTOCOL_VERSION,
-                epoch: transport.epoch,
-            });
-            if stream
-                .write_all(&hello)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                continue;
-            }
             let mut fb = FrameBuffer::new();
-            let deadline = Instant::now() + transport.ack_timeout;
-            let mut buf = [0u8; 4096];
-            'wait: loop {
-                loop {
-                    match fb.next_message() {
-                        Ok(Some(Message::HelloAck { credits, .. })) => {
-                            self.credits = (credits as usize).min(self.config.max_inflight).max(1);
-                            if self.ever_connected {
-                                self.stats.reconnects += 1;
-                            }
-                            self.ever_connected = true;
-                            // Whatever the dead connection had in
-                            // flight is unconfirmed: send it again,
-                            // oldest first; dedup absorbs duplicates.
-                            // The pump counts each as a retransmit
-                            // when it goes back on the wire.
-                            while let Some(b) = self.inflight.pop_back() {
-                                self.queue.push_front(b);
-                            }
-                            self.conn = Some((stream, fb));
-                            return Ok(());
-                        }
-                        Ok(Some(Message::HelloReject { supported })) => {
-                            return Err(UplinkError::VersionRejected { supported })
-                        }
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(_) => break 'wait,
-                    }
-                }
-                if Instant::now() >= deadline {
-                    break 'wait;
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) => break 'wait,
-                    Ok(n) => fb.feed(&buf[..n]),
-                    Err(e) if is_timeout(&e) => {}
-                    Err(_) => break 'wait,
-                }
+            let grant = await_reply(
+                &mut stream,
+                &mut fb,
+                transport.ack_timeout,
+                |msg| match msg {
+                    Message::HelloAck {
+                        credits,
+                        watermark_delay,
+                        ..
+                    } => Some(Ok((credits, watermark_delay))),
+                    Message::HelloReject { supported } => Some(Err(supported)),
+                    _ => None,
+                },
+            );
+            let (credits, watermark_delay) = match grant {
+                Ok(Ok(grant)) => grant,
+                Ok(Err(supported)) => return Err(UplinkError::VersionRejected { supported }),
+                Err(_) => continue,
+            };
+            self.credits = (credits as usize).min(self.config.max_inflight).max(1);
+            self.watermark_delay = watermark_delay;
+            if self.ever_connected {
+                self.stats.reconnects += 1;
             }
+            self.ever_connected = true;
+            // Whatever the dead connection had in flight is
+            // unconfirmed: send it again, oldest first; dedup absorbs
+            // duplicates. The pump counts each as a retransmit when it
+            // goes back on the wire.
+            while let Some(b) = self.inflight.pop_back() {
+                self.queue.push_front(b);
+            }
+            self.conn = Some((stream, fb));
+            return Ok(());
         }
         Err(UplinkError::ConnectExhausted {
             attempts: transport.max_attempts,
@@ -968,87 +741,35 @@ impl PipelinedUplink {
 /// error. Kept separate from both uplinks so the federation's
 /// heartbeat channel cannot perturb the data path's retransmit state.
 pub fn probe_heartbeat(connect: &str, epoch: u64, timeout: Duration) -> Option<(u64, u64)> {
-    let stream = Stream::connect(connect).ok()?;
-    let per_read = (timeout / 4).max(Duration::from_millis(10));
-    stream.set_read_timeout(Some(per_read)).ok()?;
-    let mut stream = stream;
-    stream
-        .write_all(&encode_frame(&Message::Heartbeat { epoch }))
-        .and_then(|()| stream.flush())
-        .ok()?;
-    let mut fb = FrameBuffer::new();
-    let deadline = Instant::now() + timeout;
-    let mut buf = [0u8; 1024];
-    loop {
-        loop {
-            match fb.next_message() {
-                Ok(Some(Message::HeartbeatAck {
-                    epoch,
-                    checkpoint_cursor,
-                })) => return Some((epoch, checkpoint_cursor)),
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(_) => return None,
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return None,
-        }
-    }
+    exchange(
+        connect,
+        &Message::Heartbeat { epoch },
+        timeout,
+        |msg| match msg {
+            Message::HeartbeatAck {
+                epoch,
+                checkpoint_cursor,
+            } => Some((epoch, checkpoint_cursor)),
+            _ => None,
+        },
+    )
 }
 
-/// One-shot migration exchange over a dedicated connection: dial
+/// One-shot control exchange over a dedicated connection: dial
 /// `connect`, send `request`, and wait up to `timeout` for the first
 /// reply `matches` accepts. `None` on any connect, I/O, or deadline
 /// failure — the migration driver treats that as a failed step (abort
 /// or retry), never an error. Like [`probe_heartbeat`], deliberately
-/// separate from the data uplinks so migration control traffic cannot
-/// perturb retransmit state.
-fn migrate_exchange<T>(
+/// separate from the data uplink so control traffic cannot perturb
+/// retransmit state.
+fn exchange<T>(
     connect: &str,
     request: &Message,
     timeout: Duration,
-    matches: impl Fn(Message) -> Option<T>,
+    matches: impl FnMut(Message) -> Option<T>,
 ) -> Option<T> {
-    let stream = Stream::connect(connect).ok()?;
-    let per_read = (timeout / 4).max(Duration::from_millis(10));
-    stream.set_read_timeout(Some(per_read)).ok()?;
-    let mut stream = stream;
-    stream
-        .write_all(&encode_frame(request))
-        .and_then(|()| stream.flush())
-        .ok()?;
-    let mut fb = FrameBuffer::new();
-    let deadline = Instant::now() + timeout;
-    let mut buf = [0u8; 4096];
-    loop {
-        loop {
-            match fb.next_message() {
-                Ok(Some(msg)) => {
-                    if let Some(out) = matches(msg) {
-                        return Some(out);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return None,
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return None,
-        }
-    }
+    let mut stream = dial(connect, timeout, request)?;
+    await_reply(&mut stream, &mut FrameBuffer::new(), timeout, matches).ok()
 }
 
 /// Orders the collector at `connect` to cut the sensor range
@@ -1063,7 +784,7 @@ pub fn probe_migrate_cut(
     end: u16,
     timeout: Duration,
 ) -> Option<(u64, Vec<u8>)> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateOffer { start, end },
         timeout,
@@ -1092,7 +813,7 @@ pub fn probe_migrate_adopt(
     snapshot: Vec<u8>,
     timeout: Duration,
 ) -> Option<()> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateAccept {
             start,
@@ -1124,7 +845,7 @@ pub fn probe_migrate_done(
     cursor: u64,
     timeout: Duration,
 ) -> Option<()> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateDone { start, end, cursor },
         timeout,
@@ -1139,45 +860,46 @@ pub fn probe_migrate_done(
     )
 }
 
-fn attempt_on(
+/// Connects to `connect`, bounds each read by a slice of `timeout` (so
+/// deadlines stay responsive), and writes `request`. `None` on any
+/// connect or I/O failure.
+fn dial(connect: &str, timeout: Duration, request: &Message) -> Option<Stream> {
+    let mut stream = Stream::connect(connect).ok()?;
+    let per_read = (timeout / 4).max(Duration::from_millis(10));
+    stream.set_read_timeout(Some(per_read)).ok()?;
+    stream
+        .write_all(&encode_frame(request))
+        .and_then(|()| stream.flush())
+        .ok()?;
+    Some(stream)
+}
+
+/// Reads `stream` until `pick` accepts a decoded message, or `timeout`
+/// passes. Messages `pick` declines (stale acks for earlier batches,
+/// say) are skipped; anything already buffered in `fb` is examined
+/// before the first read.
+fn await_reply<T>(
     stream: &mut Stream,
     fb: &mut FrameBuffer,
-    frame: &[u8],
-    classify: &impl Fn(&Message) -> Reply,
-    ack_timeout: Duration,
-) -> Attempt {
-    if stream
-        .write_all(frame)
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        return Attempt::Broken;
-    }
-    let deadline = Instant::now() + ack_timeout;
+    timeout: Duration,
+    mut pick: impl FnMut(Message) -> Option<T>,
+) -> Result<T, NoReply> {
+    let deadline = Instant::now() + timeout;
     let mut buf = [0u8; 4096];
     loop {
-        // Drain anything already buffered first — the ack may have
-        // arrived alongside one for an earlier retransmit.
-        loop {
-            match fb.next_message() {
-                Ok(Some(msg)) => match classify(&msg) {
-                    Reply::Acked => return Attempt::Acked,
-                    Reply::Nacked => return Attempt::Nacked,
-                    // Stale ack from an earlier frame: skip it.
-                    Reply::Unrelated => {}
-                },
-                Ok(None) => break,
-                Err(_) => return Attempt::Broken,
+        while let Some(msg) = fb.next_message().map_err(|_| NoReply::Broken)? {
+            if let Some(out) = pick(msg) {
+                return Ok(out);
             }
         }
         if Instant::now() >= deadline {
-            return Attempt::Timeout;
+            return Err(NoReply::Timeout);
         }
         match stream.read(&mut buf) {
-            Ok(0) => return Attempt::Broken,
+            Ok(0) => return Err(NoReply::Broken),
             Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => return Attempt::Broken,
+            Err(e) if is_timeout(&e) => {}
+            Err(_) => return Err(NoReply::Broken),
         }
     }
 }

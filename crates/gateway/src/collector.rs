@@ -1435,6 +1435,13 @@ impl Collector {
         self.config.epoch
     }
 
+    /// The reorder watermark delay: how far behind the newest admitted
+    /// reading another may arrive and still be admitted. Granted to
+    /// clients in the `HelloAck` so their batches never outrun it.
+    pub fn watermark_delay(&self) -> Timestamp {
+        self.config.reorder.watermark_delay
+    }
+
     /// WAL cursor of the last committed checkpoint (0: none yet) —
     /// advertised in heartbeat replies so standbys can pre-warm from
     /// the freshest snapshot.

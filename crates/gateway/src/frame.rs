@@ -29,20 +29,17 @@ use std::fmt;
 /// Hard cap on a frame payload; anything larger is corruption.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
-/// Current protocol version carried by [`Message::Hello`]. Version 2
-/// adds pipelined batch frames ([`Message::DataBatch`]), cumulative
-/// acks ([`Message::AckUpTo`]) and explicit negotiation
-/// ([`Message::HelloAck`] / [`Message::HelloReject`]).
+/// The one protocol version carried by [`Message::Hello`]: pipelined
+/// batch frames ([`Message::DataBatch`]), cumulative acks
+/// ([`Message::AckUpTo`]) and explicit negotiation
+/// ([`Message::HelloAck`] / [`Message::HelloReject`]). Any other
+/// version is refused with a `HelloReject` naming this one.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// The original stop-and-wait protocol version (one `Data` frame per
-/// `Ack`). Still spoken by [`crate::client::SensorUplink`]; the server
-/// accepts it unchanged.
-pub const PROTOCOL_V1: u32 = 1;
 
 const TAG_HELLO: u8 = 1;
 const TAG_DATA: u8 = 2;
-const TAG_ACK: u8 = 3;
+// Tag 3 (the retired per-record ack) decodes as an unknown tag; it is
+// never reused, so an old peer's frame cannot parse as something else.
 const TAG_FIN: u8 = 4;
 const TAG_FIN_ACK: u8 = 5;
 const TAG_NACK: u8 = 6;
@@ -70,11 +67,13 @@ pub enum Message {
         version: u32,
         /// Owner epoch the sender believes is current; `0` means
         /// unfenced (standalone clients). Encoded as an optional
-        /// trailing field only when non-zero, so the v1 wire bytes a
-        /// plain `Hello` produces are unchanged.
+        /// trailing field only when non-zero.
         epoch: u64,
     },
-    /// One sensor reading with its per-sensor sequence number.
+    /// One sensor reading with its per-sensor sequence number — the
+    /// WAL's on-disk record format ([`encode_data_payload`]). Never
+    /// admitted from the wire: a server that decodes one drops the
+    /// connection and counts it.
     Data {
         /// Reporting sensor.
         sensor: SensorId,
@@ -85,13 +84,6 @@ pub enum Message {
         /// Attribute values (possibly empty or non-finite — the
         /// sanitizer, not the codec, polices value semantics).
         values: Vec<f64>,
-    },
-    /// Server acknowledgment: the `(sensor, seq)` record is durable.
-    Ack {
-        /// Acknowledged sensor.
-        sensor: SensorId,
-        /// Acknowledged sequence number.
-        seq: u64,
     },
     /// Client end-of-stream: flush and finalize.
     Fin,
@@ -107,8 +99,8 @@ pub enum Message {
         /// Refused sequence number.
         seq: u64,
     },
-    /// Many consecutive readings from one sensor in a single frame
-    /// (protocol v2). Reading `i` carries sequence number
+    /// Many consecutive readings from one sensor in a single frame.
+    /// Reading `i` carries sequence number
     /// `first_seq + i`; the server admits each reading individually
     /// but logs and fsyncs the batch as one WAL extent.
     DataBatch {
@@ -119,7 +111,7 @@ pub enum Message {
         /// `(timestamp, values)` per reading, in sequence order.
         readings: Vec<(Timestamp, Vec<f64>)>,
     },
-    /// Cumulative acknowledgment (protocol v2): every reading of
+    /// Cumulative acknowledgment: every reading of
     /// `sensor` with sequence number `≤ seq` is durable — its WAL
     /// extent is covered by a completed fsync.
     AckUpTo {
@@ -128,14 +120,18 @@ pub enum Message {
         /// Highest durable sequence number (inclusive).
         seq: u64,
     },
-    /// Server reply to a v2 [`Message::Hello`]: the negotiated version
-    /// plus the initial credit grant (how many `DataBatch` frames the
-    /// client may keep in flight before waiting for acks).
+    /// Server reply to a [`Message::Hello`]: the negotiated version,
+    /// the initial credit grant (how many `DataBatch` frames the
+    /// client may keep in flight before waiting for acks), and the
+    /// collector's reorder watermark delay, which bounds the
+    /// stream-time span a client may leave an open batch unsealed.
     HelloAck {
         /// Negotiated protocol version.
         version: u32,
         /// Batch frames the client may keep unacknowledged.
         credits: u32,
+        /// The collector's `ReorderConfig::watermark_delay` (seconds).
+        watermark_delay: Timestamp,
     },
     /// Server refusal of an unknown [`Message::Hello`] version; names
     /// the highest version the server speaks so the mismatch is a
@@ -335,8 +331,7 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
         Message::Hello { version, epoch } => {
             out.push(TAG_HELLO);
             put_u32(out, *version);
-            // Optional trailing field: absent when zero, keeping the
-            // pinned v1 Hello bytes byte-for-byte.
+            // Optional trailing field: absent when zero.
             if *epoch > 0 {
                 put_u64(out, *epoch);
             }
@@ -347,11 +342,6 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             time,
             values,
         } => encode_data_payload(*sensor, *seq, *time, values, out),
-        Message::Ack { sensor, seq } => {
-            out.push(TAG_ACK);
-            put_u16(out, sensor.0);
-            put_u64(out, *seq);
-        }
         Message::Fin => out.push(TAG_FIN),
         Message::FinAck => out.push(TAG_FIN_ACK),
         Message::Nack { sensor, seq } => {
@@ -381,10 +371,15 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             put_u16(out, sensor.0);
             put_u64(out, *seq);
         }
-        Message::HelloAck { version, credits } => {
+        Message::HelloAck {
+            version,
+            credits,
+            watermark_delay,
+        } => {
             out.push(TAG_HELLO_ACK);
             put_u32(out, *version);
             put_u32(out, *credits);
+            put_u64(out, *watermark_delay);
         }
         Message::HelloReject { supported } => {
             out.push(TAG_HELLO_REJECT);
@@ -469,10 +464,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
                 values,
             }
         }
-        TAG_ACK => Message::Ack {
-            sensor: SensorId(cur.u16()?),
-            seq: cur.u64()?,
-        },
         TAG_FIN => Message::Fin,
         TAG_FIN_ACK => Message::FinAck,
         TAG_NACK => Message::Nack {
@@ -506,6 +497,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
         TAG_HELLO_ACK => Message::HelloAck {
             version: cur.u32()?,
             credits: cur.u32()?,
+            watermark_delay: cur.u64()?,
         },
         TAG_HELLO_REJECT => Message::HelloReject {
             supported: cur.u32()?,
@@ -713,10 +705,6 @@ mod tests {
             },
             data(3, 42, 600, vec![17.25, -80.5]),
             data(0, 0, 0, vec![]),
-            Message::Ack {
-                sensor: SensorId(7),
-                seq: 9,
-            },
             Message::Fin,
             Message::FinAck,
             Message::Nack {
@@ -740,6 +728,7 @@ mod tests {
             Message::HelloAck {
                 version: PROTOCOL_VERSION,
                 credits: 32,
+                watermark_delay: 1800,
             },
             Message::HelloReject {
                 supported: PROTOCOL_VERSION,
@@ -929,30 +918,30 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_decode_unchanged_under_v2() {
-        // The v1 message set must keep its exact wire bytes so legacy
-        // stop-and-wait clients interoperate with a v2 server.
+    fn plain_hello_and_wal_record_bytes_are_pinned() {
+        // An epoch-less Hello is the bare version; the trailing epoch
+        // is absent, and decodes back as 0 (unfenced).
         let hello = encode_frame(&Message::Hello {
-            version: PROTOCOL_V1,
+            version: PROTOCOL_VERSION,
             epoch: 0,
         });
-        let payload = [TAG_HELLO, 1, 0, 0, 0];
+        let payload = [TAG_HELLO, 2, 0, 0, 0];
         let mut want = vec![5, 0, 0, 0];
         want.extend_from_slice(&payload);
         want.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
         assert_eq!(hello, want);
-        // A legacy epoch-less Hello decodes as epoch 0 (unfenced).
         let mut fb = FrameBuffer::new();
         fb.feed(&hello);
         assert_eq!(
             fb.next_message().unwrap().unwrap(),
             Message::Hello {
-                version: PROTOCOL_V1,
+                version: PROTOCOL_VERSION,
                 epoch: 0,
             }
         );
+        // `Data` is the WAL's record format: its tag and shape stay.
         let data = encode_frame(&data(1, 2, 300, vec![1.5]));
-        assert_eq!(data[4], 2); // TAG_DATA survives
+        assert_eq!(data[4], TAG_DATA);
         assert_eq!(data.len(), 4 + 21 + 8 + 4); // envelope + payload shape
     }
 

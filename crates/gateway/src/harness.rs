@@ -25,8 +25,8 @@
 //! both (the checker's cross-validation against the socket tests is
 //! the tripwire).
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError};
-use crate::frame::{FrameBuffer, FrameError, Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::collector::{Collector, GatewayError};
+use crate::frame::{FrameBuffer, FrameError, Message, PROTOCOL_VERSION};
 use sentinet_sim::SensorId;
 
 /// When a queued cumulative ack may be written to the client.
@@ -75,7 +75,7 @@ pub enum StepEvent {
     BadFrame(FrameError),
 }
 
-/// The single-stepped protocol v1/v2 server core over a real
+/// The single-stepped protocol server core over a real
 /// [`Collector`]. See the module docs for what it is (a seam) and is
 /// not (a model).
 pub struct StepServer {
@@ -85,11 +85,12 @@ pub struct StepServer {
     credit_window: u32,
     discipline: AckDiscipline,
     version_rejects: u64,
+    data_frames: u64,
 }
 
 impl StepServer {
     /// Wraps an opened collector; `credit_window` is granted in every
-    /// v2 `HelloAck`.
+    /// `HelloAck`.
     pub fn new(collector: Collector, credit_window: u32, discipline: AckDiscipline) -> Self {
         Self {
             collector,
@@ -98,6 +99,7 @@ impl StepServer {
             credit_window,
             discipline,
             version_rejects: 0,
+            data_frames: 0,
         }
     }
 
@@ -147,23 +149,11 @@ impl StepServer {
         };
         let mut replies = Vec::new();
         match msg {
-            Message::Data {
-                sensor,
-                seq,
-                time,
-                values,
-            } => {
-                // v1 stop-and-wait: deliver() made the record durable
-                // under the fsync policy before returning, so the ack
-                // needs no release gate.
-                let outcome = self.collector.deliver(sensor, seq, time, values)?;
-                let reply = match outcome {
-                    DeliverOutcome::Accepted | DeliverOutcome::Duplicate => {
-                        Message::Ack { sensor, seq }
-                    }
-                    DeliverOutcome::Rejected(_) => Message::Nack { sensor, seq },
-                };
-                replies.push((conn, reply));
+            Message::Data { .. } => {
+                // A WAL record on the wire: never admitted; the
+                // connection is dropped and counted.
+                self.data_frames += 1;
+                self.disconnect(conn);
             }
             Message::DataBatch {
                 sensor,
@@ -197,27 +187,24 @@ impl StepServer {
                 if epoch > 0 {
                     self.collector.observe_epoch(epoch);
                 }
-                match version {
-                    PROTOCOL_V1 => {}
-                    PROTOCOL_VERSION => {
-                        replies.push((
-                            conn,
-                            Message::HelloAck {
-                                version: PROTOCOL_VERSION,
-                                credits: self.credit_window,
-                            },
-                        ));
-                    }
-                    _ => {
-                        self.version_rejects += 1;
-                        replies.push((
-                            conn,
-                            Message::HelloReject {
-                                supported: PROTOCOL_VERSION,
-                            },
-                        ));
-                        self.disconnect(conn);
-                    }
+                if version == PROTOCOL_VERSION {
+                    replies.push((
+                        conn,
+                        Message::HelloAck {
+                            version: PROTOCOL_VERSION,
+                            credits: self.credit_window,
+                            watermark_delay: self.collector.watermark_delay(),
+                        },
+                    ));
+                } else {
+                    self.version_rejects += 1;
+                    replies.push((
+                        conn,
+                        Message::HelloReject {
+                            supported: PROTOCOL_VERSION,
+                        },
+                    ));
+                    self.disconnect(conn);
                 }
             }
             Message::Heartbeat { epoch } => {
@@ -280,8 +267,7 @@ impl StepServer {
                 self.collector.clear_outbox(start..end);
                 replies.push((conn, Message::MigrateDone { start, end, cursor }));
             }
-            Message::Ack { .. }
-            | Message::AckUpTo { .. }
+            Message::AckUpTo { .. }
             | Message::FinAck
             | Message::Nack { .. }
             | Message::HelloAck { .. }
@@ -351,6 +337,11 @@ impl StepServer {
         self.version_rejects
     }
 
+    /// Connections dropped for sending a bare `Data` frame.
+    pub fn data_frames(&self) -> u64 {
+        self.data_frames
+    }
+
     /// The underlying collector (for invariant probes).
     pub fn collector(&self) -> &Collector {
         &self.collector
@@ -406,6 +397,60 @@ mod tests {
         }
         let replies = server.commit().expect("commit");
         assert_eq!(replies, vec![ack(a, 0, 0), ack(b, 1, 0), ack(b, 1, 1)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The handshake grants the collector's watermark delay; a
+    /// version-1 `Hello` is refused with the one supported version,
+    /// and a bare `Data` frame drops its connection unadmitted.
+    #[test]
+    fn hello_grants_watermark_and_old_frames_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("sentinet-harness-hello-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = GatewayConfig::new(&dir);
+        config.reorder.watermark_delay = 600;
+        let (collector, _) = Collector::open(config).expect("open collector");
+        let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+        let hello = |version| encode_frame(&Message::Hello { version, epoch: 0 });
+
+        let current = server.connect();
+        server.feed(current, &hello(PROTOCOL_VERSION));
+        let granted = Message::HelloAck {
+            version: PROTOCOL_VERSION,
+            credits: 8,
+            watermark_delay: 600,
+        };
+        let event = server.step(current).expect("step");
+        assert_eq!(event, StepEvent::Replies(vec![(current, granted)]));
+
+        let old = server.connect();
+        server.feed(old, &hello(1));
+        let rejected = Message::HelloReject {
+            supported: PROTOCOL_VERSION,
+        };
+        let event = server.step(old).expect("step");
+        assert_eq!(event, StepEvent::Replies(vec![(old, rejected)]));
+        assert_eq!(server.version_rejects(), 1);
+
+        server.feed(
+            current,
+            &encode_frame(&Message::Data {
+                sensor: SensorId(0),
+                seq: 0,
+                time: 300,
+                values: vec![20.0],
+            }),
+        );
+        server.feed(current, &batch(0, 0));
+        let event = server.step(current).expect("step");
+        assert_eq!(event, StepEvent::Replies(Vec::new()));
+        assert_eq!(server.data_frames(), 1);
+        // The connection is gone: the batch behind the record is
+        // never read, and nothing was admitted.
+        assert_eq!(server.step(current).expect("step"), StepEvent::Idle);
+        let report = server.into_collector().finish().expect("finish");
+        assert_eq!(report.ingest.accepted, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

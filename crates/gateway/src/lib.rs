@@ -8,15 +8,15 @@
 //!
 //! 1. **Reliable transport** ([`frame`], [`client`], [`server`]):
 //!    length-prefixed CRC-framed messages over TCP or Unix sockets;
-//!    per-sensor sequence numbers; a stop-and-wait client with capped
-//!    exponential backoff, seeded jitter, and reconnection; server-side
-//!    dedup plus a watermark reorder buffer ([`reorder`]) so bounded
-//!    network reordering is repaired rather than rejected; bounded
-//!    queues with explicit, counted drop-oldest load shedding. A
-//!    version-negotiated pipelined mode (protocol v2) batches many
-//!    readings per frame under a server-granted credit window with
-//!    cumulative `AckUpTo` acks, closing the per-reading round-trip
-//!    gap while the stop-and-wait v1 path stays wire-compatible.
+//!    per-sensor sequence numbers; one version-negotiated pipelined
+//!    protocol that batches many readings per frame under a
+//!    server-granted credit window with cumulative `AckUpTo` acks, and
+//!    retransmits with capped exponential backoff, seeded jitter, and
+//!    reconnection; server-side dedup plus a watermark reorder buffer
+//!    ([`reorder`]) so bounded network reordering is repaired rather
+//!    than rejected (the client never lets a batch outrun the
+//!    watermark the server grants in its handshake); bounded queues
+//!    with explicit, counted drop-oldest load shedding.
 //! 2. **Durability** ([`wal`], [`collector`]): every admitted record
 //!    is appended to a segmented CRC-framed write-ahead log before it
 //!    is acknowledged; on restart the log replays through the
@@ -49,7 +49,7 @@ pub mod wal;
 
 pub use client::{
     backoff_delay, probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done,
-    PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkError, UplinkStats,
+    PipelinedConfig, PipelinedUplink, UplinkConfig, UplinkError, UplinkStats,
 };
 pub use collector::{
     BatchOutcome, Collector, CutCheck, DeliverOutcome, FenceCheck, GatewayConfig, GatewayError,
@@ -57,8 +57,7 @@ pub use collector::{
     StorageStatus, CHECKPOINT_FILE,
 };
 pub use frame::{
-    FrameBuffer, FrameError, Message, MAX_BATCH_READINGS, MAX_PAYLOAD, PROTOCOL_V1,
-    PROTOCOL_VERSION,
+    FrameBuffer, FrameError, Message, MAX_BATCH_READINGS, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use harness::{AckDiscipline, QueuedAck, StepEvent, StepServer};
 pub use netsim::{

@@ -12,7 +12,7 @@
 //! by the `socket-read-timeout` lint).
 //!
 //! Every TCP stream, dialled or accepted, also sets `TCP_NODELAY`. The
-//! v2 uplink writes a window of batches and then blocks on the
+//! uplink writes a window of batches and then blocks on the
 //! cumulative ack, so Nagle's algorithm on one end would hold the
 //! next segment until the peer's delayed ACK fires (≈40 ms on Linux)
 //! on every flush. Both sides coalesce their own writes instead (one

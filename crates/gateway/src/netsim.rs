@@ -19,7 +19,7 @@
 //! seeded schedule with drops, dups, and reordering must produce a
 //! report bit-identical to in-order delivery.
 
-use crate::client::{SensorUplink, UplinkError};
+use crate::client::{PipelinedUplink, UplinkError};
 use crate::collector::{Collector, GatewayError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,17 +170,22 @@ pub fn deliver_schedule(
 }
 
 /// Drives a schedule through a real socket via the uplink's raw
-/// `(seq, …)` hook, exercising retry and server-side dedup end to
-/// end.
+/// `(seq, …)` hook — each emission goes out as its own single-reading
+/// `DataBatch` — exercising retransmission, cumulative acks over
+/// out-of-order sequence numbers, and server-side dedup end to end.
+/// Returns once every emission is acknowledged.
 ///
 /// # Errors
 ///
-/// [`UplinkError`] if any frame exhausts its retries.
-pub fn drive_uplink(uplink: &mut SensorUplink, schedule: &[Emission]) -> Result<(), UplinkError> {
+/// [`UplinkError`] if any batch exhausts its retries.
+pub fn drive_uplink(
+    uplink: &mut PipelinedUplink,
+    schedule: &[Emission],
+) -> Result<(), UplinkError> {
     for e in schedule {
         uplink.send_at(e.sensor, e.seq, e.time, &e.values)?;
     }
-    Ok(())
+    uplink.flush()
 }
 
 #[cfg(test)]

@@ -17,12 +17,15 @@
 //! A frame-level error (bad CRC, oversized length) is
 //! connection-fatal: the stream offset can no longer be trusted, so
 //! the connection is dropped, the event is counted, and the client's
-//! retry protocol re-delivers whatever lost its ack. A `Fin` frame
+//! retry protocol re-delivers whatever lost its ack. A bare `Data`
+//! frame decodes (it is the WAL's record format) but is never
+//! admitted from the wire: it drops its connection too, counted
+//! separately. A `Fin` frame
 //! (acked with `FinAck`) ends the run: the server shuts down its
 //! threads and the collector can be finished for a report.
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError};
-use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::collector::{Collector, GatewayError};
+use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_VERSION};
 use crate::net::{is_timeout, Listener, Stream};
 use crate::snapshot::{decode_collector, encode_collector};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -44,14 +47,9 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Capacity of the bounded ingest event queue.
     pub queue_capacity: usize,
-    /// Batches a v2 connection may keep in flight (granted in the
+    /// Batches a connection may keep in flight (granted in the
     /// `HelloAck`).
     pub credit_window: u32,
-    /// Speak only protocol v1: a v2 `Hello` is answered with a typed
-    /// `HelloReject { supported: 1 }` and the connection is dropped,
-    /// exactly like an unknown version. Lets an operator pin a fleet
-    /// to stop-and-wait (and gives tests a live rejection path).
-    pub v1_only: bool,
 }
 
 impl Default for ServerConfig {
@@ -61,7 +59,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(200),
             queue_capacity: 1024,
             credit_window: 32,
-            v1_only: false,
         }
     }
 }
@@ -77,6 +74,10 @@ pub struct ServerStats {
     /// (answered with `HelloReject`, then dropped — a typed outcome,
     /// not corrupt-frame noise).
     pub version_rejects: u64,
+    /// Connections dropped for sending a bare `Data` frame. It is the
+    /// WAL's record format, not a wire message, so nothing in it is
+    /// admitted or acknowledged.
+    pub data_frames: u64,
     /// The decode error behind each dropped connection, in order
     /// (surfaced by the CLI on stderr).
     pub frame_errors: Vec<FrameError>,
@@ -117,7 +118,6 @@ enum Event {
 pub struct Server {
     addr: String,
     credit_window: u32,
-    v1_only: bool,
     shutdown: Arc<AtomicBool>,
     events: Receiver<Event>,
     decode_ns: Arc<AtomicU64>,
@@ -151,7 +151,6 @@ impl Server {
         Ok(Self {
             addr,
             credit_window: config.credit_window,
-            v1_only: config.v1_only,
             shutdown,
             events: rx,
             decode_ns,
@@ -234,35 +233,14 @@ impl Server {
                     stats.connections += 1;
                     writers.insert(id, writer);
                 }
-                Event::Msg(
-                    id,
-                    Message::Data {
-                        sensor,
-                        seq,
-                        time,
-                        values,
-                    },
-                ) => {
-                    // Accepted and Duplicate both mean durable: ack
-                    // either way. Rejected (poisoned storage or WAL
-                    // budget shedding) must never be acked — send a
-                    // NACK so the client fails fast instead of timing
-                    // out. A failed reply write is the client's
-                    // problem — it retries and the seq dedup absorbs
-                    // the re-delivery.
-                    let outcome = collector.deliver(sensor, seq, time, values)?;
-                    let reply = match outcome {
-                        DeliverOutcome::Accepted | DeliverOutcome::Duplicate => {
-                            Message::Ack { sensor, seq }
-                        }
-                        DeliverOutcome::Rejected(_) => Message::Nack { sensor, seq },
-                    };
-                    if let Some(w) = writers.get_mut(&id) {
-                        let ack_start = std::time::Instant::now();
-                        let _ = w.write_all(&encode_frame(&reply));
-                        stats.ack_ns = stats
-                            .ack_ns
-                            .saturating_add(ack_start.elapsed().as_nanos() as u64);
+                Event::Msg(id, Message::Data { .. }) => {
+                    // A WAL record on the wire: never admitted. Drop
+                    // the connection, exactly like a corrupt frame,
+                    // but counted as its own typed outcome.
+                    stats.data_frames += 1;
+                    pending.retain(|p| p.conn != id);
+                    if let Some(w) = writers.remove(&id) {
+                        let _ = w.shutdown();
                     }
                 }
                 Event::Msg(
@@ -331,35 +309,26 @@ impl Server {
                     if epoch > 0 {
                         collector.observe_epoch(epoch);
                     }
-                    match version {
-                        PROTOCOL_V1 => {
-                            // Legacy stop-and-wait: no reply, exactly
-                            // as version 1 of the server behaved.
+                    if version == PROTOCOL_VERSION {
+                        // The grant carries the reorder watermark delay
+                        // so the client's batches never outrun it.
+                        if let Some(w) = writers.get_mut(&id) {
+                            let _ = w.write_all(&encode_frame(&Message::HelloAck {
+                                version: PROTOCOL_VERSION,
+                                credits: self.credit_window,
+                                watermark_delay: collector.watermark_delay(),
+                            }));
                         }
-                        PROTOCOL_VERSION if !self.v1_only => {
-                            if let Some(w) = writers.get_mut(&id) {
-                                let _ = w.write_all(&encode_frame(&Message::HelloAck {
-                                    version: PROTOCOL_VERSION,
-                                    credits: self.credit_window,
-                                }));
-                            }
-                        }
-                        _ => {
-                            // Unknown version — or v2 on a server
-                            // pinned to v1 — gets a typed reject naming
-                            // the highest version this server speaks.
-                            stats.version_rejects += 1;
-                            let supported = if self.v1_only {
-                                PROTOCOL_V1
-                            } else {
-                                PROTOCOL_VERSION
-                            };
-                            if let Some(mut w) = writers.remove(&id) {
-                                let _ =
-                                    w.write_all(&encode_frame(&Message::HelloReject { supported }));
-                                let _ = w.flush();
-                                let _ = w.shutdown();
-                            }
+                    } else {
+                        // Any other version gets a typed reject naming
+                        // the one version this server speaks.
+                        stats.version_rejects += 1;
+                        if let Some(mut w) = writers.remove(&id) {
+                            let _ = w.write_all(&encode_frame(&Message::HelloReject {
+                                supported: PROTOCOL_VERSION,
+                            }));
+                            let _ = w.flush();
+                            let _ = w.shutdown();
                         }
                     }
                 }
@@ -466,8 +435,7 @@ impl Server {
                 }
                 Event::Msg(
                     _,
-                    Message::Ack { .. }
-                    | Message::AckUpTo { .. }
+                    Message::AckUpTo { .. }
                     | Message::FinAck
                     | Message::Nack { .. }
                     | Message::HelloAck { .. }
@@ -632,14 +600,4 @@ fn reader_loop(
             }
         }
     }
-}
-
-/// A legacy (v1) Hello frame for raw-socket clients to open with
-/// (re-exported convenience). The server sends no reply to a v1
-/// Hello, so a raw connection can stream Data frames immediately.
-pub fn hello_frame() -> Vec<u8> {
-    encode_frame(&Message::Hello {
-        version: PROTOCOL_V1,
-        epoch: 0,
-    })
 }

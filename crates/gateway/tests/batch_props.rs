@@ -1,4 +1,4 @@
-//! Property tests for the pipelined (protocol v2) batch path:
+//! Property tests for the pipelined batch path:
 //! arbitrary `DataBatch` frames round-trip bit-exactly through
 //! [`FrameBuffer`] under every torn chunking of the byte stream, a
 //! single flipped bit can never smuggle a decoded message past the

@@ -1,6 +1,6 @@
 //! Socket-level end-to-end tests: a real `Server` + `Collector` on one
-//! side, a retrying `SensorUplink` on the other, over loopback TCP and
-//! Unix sockets. A seeded lossy delivery schedule driven through the
+//! side, a retrying `PipelinedUplink` on the other, over loopback TCP
+//! and Unix sockets. A seeded lossy delivery schedule driven through the
 //! wire must land on the same bit-identical report as in-process
 //! in-order delivery, wire-level corruption (via the frame codec's
 //! `corrupt_frames`) must be rejected without polluting the pipeline,
@@ -9,11 +9,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_gateway::frame::{corrupt_frames, encode_frame};
-use sentinet_gateway::server::hello_frame;
 use sentinet_gateway::{
     delivery_schedule, drive_uplink, trace_to_raw, Collector, FrameBuffer, FrameError, FsyncPolicy,
-    GatewayConfig, GatewayReport, Message, NetsimConfig, PipelinedConfig, PipelinedUplink,
-    SensorUplink, Server, ServerConfig, UplinkConfig, PROTOCOL_V1, PROTOCOL_VERSION,
+    GatewayConfig, GatewayReport, Message, NetsimConfig, PipelinedConfig, PipelinedUplink, Server,
+    ServerConfig, UplinkStats, PROTOCOL_VERSION,
 };
 use sentinet_sim::{gdi, simulate, RawRecord, SensorId, DAY_S};
 use std::collections::BTreeMap;
@@ -38,8 +37,20 @@ fn gdi_records(days: u64, sensors: u16, seed: u64) -> Vec<RawRecord> {
 }
 
 fn in_order_report(name: &str, records: &[RawRecord]) -> GatewayReport {
+    in_order_report_with(name, records, |_| {})
+}
+
+/// [`in_order_report`] over a collector whose default config `tune`
+/// adjusted first.
+fn in_order_report_with(
+    name: &str,
+    records: &[RawRecord],
+    tune: impl Fn(&mut GatewayConfig),
+) -> GatewayReport {
     let dir = tmpdir(name);
-    let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
+    let mut config = GatewayConfig::new(&dir);
+    tune(&mut config);
+    let (mut collector, _) = Collector::open(config).expect("open");
     let mut seqs: BTreeMap<SensorId, u64> = BTreeMap::new();
     for r in records {
         let seq = seqs.entry(r.sensor).or_insert(0);
@@ -69,7 +80,7 @@ fn serve_schedule(
     .expect("bind server");
     let addr = server.addr().to_string();
     let client = std::thread::spawn(move || {
-        let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
+        let mut uplink = PipelinedUplink::new(PipelinedConfig::new(addr));
         drive_uplink(&mut uplink, &schedule).expect("uplink delivery");
         uplink.finish().expect("fin/finack");
     });
@@ -118,46 +129,21 @@ fn unix_socket_uplink_matches_in_order_delivery() {
     let _ = fs::remove_file(&sock);
 }
 
-/// The pipelined (v2) client over loopback TCP must land on the same
+/// The pipelined client over loopback TCP must land on the same
 /// bit-identical report as in-order in-process delivery, across fsync
 /// policies — including `batch:N`, where acks are deferred until the
 /// covering group fsync.
 #[test]
 fn pipelined_uplink_matches_in_order_delivery_across_fsync_policies() {
     let records = gdi_records(1, 3, 31);
-    // Batching delivers one sensor's readings in bursts spanning
-    // `batch_size × sample_period` stream-seconds, so the reorder
-    // watermark must cover that skew (and the buffer must hold a
-    // batch) or other sensors' same-era readings are dropped as late.
-    // Both sides of the comparison get the same tuning.
-    let tune = |dir: &PathBuf| {
-        let mut cfg = GatewayConfig::new(dir);
-        cfg.reorder.watermark_delay = 2 * 64 * 300;
-        cfg.reorder.per_sensor_capacity = 512;
-        cfg
-    };
-    let baseline = {
-        let dir = tmpdir("pipe-base");
-        let (mut collector, _) = Collector::open(tune(&dir)).expect("open");
-        let mut seqs: BTreeMap<SensorId, u64> = BTreeMap::new();
-        for r in &records {
-            let seq = seqs.entry(r.sensor).or_insert(0);
-            collector
-                .deliver(r.sensor, *seq, r.time, r.values.clone())
-                .expect("deliver");
-            *seq += 1;
-        }
-        let report = collector.finish().expect("finish");
-        fs::remove_dir_all(&dir).ok();
-        report
-    };
+    let baseline = in_order_report("pipe-base", &records);
     for (tag, fsync) in [
         ("never", FsyncPolicy::Never),
         ("batch", FsyncPolicy::Batch(64)),
         ("always", FsyncPolicy::Always),
     ] {
         let dir = tmpdir(&format!("pipe-{tag}"));
-        let mut cfg = tune(&dir);
+        let mut cfg = GatewayConfig::new(&dir);
         cfg.wal.fsync = fsync;
         let (mut collector, _) = Collector::open(cfg).expect("open");
         let server = Server::start(ServerConfig::default()).expect("bind server");
@@ -191,6 +177,51 @@ fn pipelined_uplink_matches_in_order_delivery_across_fsync_policies() {
             uplink_stats.acked,
             uplink_stats.frames_sent - uplink_stats.retransmits,
             "{tag}: unacked batches at finish: {uplink_stats:?}"
+        );
+    }
+}
+
+/// Batching must never make the collector drop a reading as late. At
+/// 8 readings per batch and a 300 s period one sensor's batch spans
+/// 2100 stream-seconds, more than either watermark delay below;
+/// unless the uplink seals it in time, admitting it moves the
+/// watermark past other sensors' same-era readings still queued
+/// behind it. The handshake teaches the uplink each server's delay.
+#[test]
+fn batches_never_outrun_the_granted_watermark() {
+    let records = gdi_records(2, 4, 41);
+    for delay in [1800, 600] {
+        let tune = move |cfg: &mut GatewayConfig| cfg.reorder.watermark_delay = delay;
+        let baseline = in_order_report_with(&format!("wm{delay}-base"), &records, tune);
+        let dir = tmpdir(&format!("wm{delay}-run"));
+        let mut cfg = GatewayConfig::new(&dir);
+        tune(&mut cfg);
+        let (mut collector, _) = Collector::open(cfg).expect("open");
+        let server = Server::start(ServerConfig::default()).expect("bind server");
+        let addr = server.addr().to_string();
+        let client_records = records.clone();
+        let client = std::thread::spawn(move || {
+            let mut config = PipelinedConfig::new(addr);
+            config.batch_size = 8;
+            let mut uplink = PipelinedUplink::new(config);
+            for r in &client_records {
+                uplink.send(r.sensor, r.time, &r.values).expect("send");
+            }
+            uplink.finish().expect("fin/finack");
+        });
+        server.run(&mut collector).expect("serve");
+        client.join().expect("client thread");
+        let report = collector.finish().expect("finish");
+        fs::remove_dir_all(&dir).ok();
+        assert_eq!(report.ingest.late, 0, "watermark {delay}: late drops");
+        assert_eq!(
+            report.ingest.accepted, baseline.ingest.accepted,
+            "watermark {delay}"
+        );
+        assert_eq!(
+            format!("{}", report.pipeline),
+            format!("{}", baseline.pipeline),
+            "watermark {delay}: batched delivery diverged from in-order"
         );
     }
 }
@@ -229,7 +260,7 @@ fn unknown_protocol_version_is_rejected_typed() {
                 Err(e) => panic!("read: {e}"),
             }
         };
-        // A healthy v2 client on the same server is unaffected.
+        // A healthy current client on the same server is unaffected.
         let mut config = PipelinedConfig::new(addr);
         config.batch_size = 8;
         let mut uplink = PipelinedUplink::new(config);
@@ -247,63 +278,77 @@ fn unknown_protocol_version_is_rejected_typed() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A server pinned to protocol v1 rejects a current (v2) `Hello` with
-/// a typed `HelloReject { supported: 1 }`: the counter classifies it
-/// as a version reject and the reply is byte-for-byte the encoded
-/// reject frame — nothing more — before the socket closes. A legacy
-/// stop-and-wait client on the same server is still served.
+/// Reads everything `conn` receives until the server closes it.
+fn read_to_eof(conn: &mut TcpStream) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let mut buf = [0u8; 256];
+    loop {
+        match conn.read(&mut buf) {
+            Ok(0) => return wire,
+            Ok(n) => wire.extend_from_slice(&buf[..n]),
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+}
+
+/// A version-1 `Hello` is refused with a typed `HelloReject` naming
+/// the one supported version: the reply is byte-for-byte the encoded
+/// reject frame — nothing more — before the socket closes. A bare
+/// `Data` frame (the WAL's record format) is never admitted: the
+/// server drops that connection and counts it. A current client on
+/// the same server is still served.
 #[test]
-fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
-    let dir = tmpdir("v1-only");
+fn old_hello_and_bare_data_frames_are_refused_typed() {
+    let dir = tmpdir("old-frames");
     let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
-    let server = Server::start(ServerConfig {
-        v1_only: true,
-        ..ServerConfig::default()
-    })
-    .expect("bind server");
+    let server = Server::start(ServerConfig::default()).expect("bind server");
     let addr = server.addr().to_string();
     let client = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(&addr).expect("connect");
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         conn.write_all(&encode_frame(&Message::Hello {
-            version: PROTOCOL_VERSION,
+            version: 1,
             epoch: 0,
         }))
         .expect("hello");
-        // The server writes the reject, flushes, and shuts the socket
-        // down; everything up to EOF is the raw reject frame.
-        let mut wire = Vec::new();
-        let mut buf = [0u8; 256];
-        loop {
-            match conn.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => wire.extend_from_slice(&buf[..n]),
-                Err(e) => panic!("read: {e}"),
-            }
-        }
-        // The pinned server still speaks v1: a stop-and-wait client
-        // lands a record and terminates the run with Fin/FinAck.
-        let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
-        uplink
-            .send_at(SensorId(1), 0, 300, &[20.0, 45.0])
-            .expect("send");
+        let reject = read_to_eof(&mut conn);
+
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        conn.write_all(&encode_frame(&Message::Data {
+            sensor: SensorId(1),
+            seq: 0,
+            time: 300,
+            values: vec![20.0, 45.0],
+        }))
+        .expect("data");
+        let data_reply = read_to_eof(&mut conn);
+
+        let mut uplink = PipelinedUplink::new(PipelinedConfig::new(addr));
+        uplink.send(SensorId(1), 600, &[21.0, 46.0]).expect("send");
         uplink.finish().expect("fin/finack");
-        wire
+        (reject, data_reply)
     });
     let stats = server.run(&mut collector).expect("serve");
-    let wire = client.join().expect("client thread");
+    let (reject, data_reply) = client.join().expect("client thread");
     assert_eq!(
-        wire,
+        reject,
         encode_frame(&Message::HelloReject {
-            supported: PROTOCOL_V1
+            supported: PROTOCOL_VERSION
         }),
         "reject reply must be exactly one encoded HelloReject frame"
     );
+    assert!(data_reply.is_empty(), "a bare Data frame got a reply");
     assert_eq!(stats.version_rejects, 1);
+    assert_eq!(stats.data_frames, 1);
     assert_eq!(stats.bad_frames, 0);
     let report = collector.finish().expect("finish");
-    assert_eq!(report.ingest.accepted, 1);
+    assert_eq!(
+        report.ingest.accepted, 1,
+        "only the current client's reading"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -312,11 +357,10 @@ fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
 /// a phantom message), and a flipped CRC byte is rejected loudly.
 #[test]
 fn corrupt_frames_exercise_every_decoder_path() {
-    let frame = encode_frame(&Message::Data {
+    let frame = encode_frame(&Message::DataBatch {
         sensor: SensorId(1),
-        seq: 7,
-        time: 300,
-        values: vec![20.0, 50.0],
+        first_seq: 7,
+        readings: vec![(300, vec![20.0, 50.0])],
     });
     let frames: Vec<Vec<u8>> = vec![frame.clone(); 64];
     let corrupted = corrupt_frames(&frames, 99, 1.0);
@@ -333,7 +377,10 @@ fn corrupt_frames_exercise_every_decoder_path() {
         fb.feed(bytes);
         if *bytes == frame {
             // A duplicated copy decodes cleanly.
-            assert!(matches!(fb.next_message(), Ok(Some(Message::Data { .. }))));
+            assert!(matches!(
+                fb.next_message(),
+                Ok(Some(Message::DataBatch { .. }))
+            ));
             assert!(matches!(fb.next_message(), Ok(None)));
             dups += 1;
         } else if bytes.len() < frame.len() {
@@ -368,11 +415,10 @@ fn corrupted_connections_are_dropped_without_polluting_the_report() {
     // deterministic search finds a seed where every frame lands in
     // flip-CRC mode (so every rogue connection must die on BadCrc).
     let first = &records[0];
-    let frame = encode_frame(&Message::Data {
+    let frame = encode_frame(&Message::DataBatch {
         sensor: first.sensor,
-        seq: 0,
-        time: first.time,
-        values: first.values.clone(),
+        first_seq: 0,
+        readings: vec![(first.time, first.values.clone())],
     });
     let frames = vec![frame.clone(); 3];
     let flipped = (0..500u64)
@@ -393,7 +439,11 @@ fn corrupted_connections_are_dropped_without_polluting_the_report() {
             let mut conn = TcpStream::connect(&addr).expect("rogue connect");
             conn.set_read_timeout(Some(Duration::from_secs(10)))
                 .expect("timeout");
-            conn.write_all(&hello_frame()).expect("hello");
+            conn.write_all(&encode_frame(&Message::Hello {
+                version: PROTOCOL_VERSION,
+                epoch: 0,
+            }))
+            .expect("hello");
             conn.write_all(bad).expect("bad frame");
             let mut sink = [0u8; 256];
             loop {
@@ -405,14 +455,9 @@ fn corrupted_connections_are_dropped_without_polluting_the_report() {
             }
         }
         // Clean phase: the full stream, in order, through the uplink.
-        let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
-        let mut seqs: BTreeMap<SensorId, u64> = BTreeMap::new();
+        let mut uplink = PipelinedUplink::new(PipelinedConfig::new(addr));
         for r in &client_records {
-            let seq = seqs.entry(r.sensor).or_insert(0);
-            uplink
-                .send_at(r.sensor, *seq, r.time, &r.values)
-                .expect("send");
-            *seq += 1;
+            uplink.send(r.sensor, r.time, &r.values).expect("send");
         }
         uplink.finish().expect("fin/finack");
     });
@@ -458,56 +503,17 @@ fn soak_week_long_lossy_stream_over_tcp() {
     assert!(report.ingest.duplicates > 0, "soak never exercised dedup");
 }
 
-/// Sends one v1 `Data` frame on a throwaway connection and returns the
-/// server's typed reply (`Ack` or `Nack`).
-fn v1_exchange(addr: &str, sensor: u16, seq: u64, time: u64) -> Message {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    conn.write_all(&encode_frame(&Message::Data {
-        sensor: SensorId(sensor),
-        seq,
-        time,
-        values: vec![20.0, 45.0],
-    }))
-    .expect("data");
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 256];
-    loop {
-        match fb.next_message() {
-            Ok(Some(msg)) => return msg,
-            Ok(None) => {}
-            Err(e) => panic!("frame error {e}"),
-        }
-        match conn.read(&mut buf) {
-            Ok(0) => panic!("eof before reply"),
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) => panic!("read: {e}"),
-        }
-    }
-}
-
-/// Ends a server run with a Fin/FinAck exchange.
-fn shut_down(addr: &str) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    conn.write_all(&encode_frame(&Message::Fin)).expect("fin");
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 256];
-    loop {
-        match fb.next_message() {
-            Ok(Some(Message::FinAck)) => return,
-            Ok(Some(other)) => panic!("unexpected reply {other:?}"),
-            Ok(None) => {}
-            Err(e) => panic!("frame error {e}"),
-        }
-        match conn.read(&mut buf) {
-            Ok(0) => panic!("eof before FinAck"),
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) => panic!("read: {e}"),
-        }
-    }
+/// Offers one reading through a fresh single-attempt uplink and
+/// returns its counters: `acked == 1` when the server acknowledged it,
+/// `nacks == 1` when it refused it (one attempt cannot retry).
+fn offer(addr: &str, sensor: u16, seq: u64, time: u64) -> UplinkStats {
+    let mut config = PipelinedConfig::new(addr);
+    config.transport.max_attempts = 1;
+    let mut uplink = PipelinedUplink::new(config);
+    let _ = uplink
+        .send_at(SensorId(sensor), seq, time, &[20.0, 45.0])
+        .and_then(|()| uplink.flush());
+    uplink.stats()
 }
 
 /// The full three-frame migration handshake over real sockets: a
@@ -556,27 +562,15 @@ fn live_range_migration_moves_a_sensor_between_servers() {
     // serving its own.
     let tail_time = 2 * DAY_S;
     let moved_seq = seqs[&SensorId(1)];
-    assert!(matches!(
-        v1_exchange(&src_addr, 1, moved_seq, tail_time),
-        Message::Nack { .. }
-    ));
-    assert!(matches!(
-        v1_exchange(&src_addr, 0, seqs[&SensorId(0)], tail_time),
-        Message::Ack { .. }
-    ));
+    assert_eq!(offer(&src_addr, 1, moved_seq, tail_time).nacks, 1);
+    assert_eq!(offer(&src_addr, 0, seqs[&SensorId(0)], tail_time).acked, 1);
 
     sentinet_gateway::probe_migrate_adopt(&dst_addr, 1, 2, cursor, snapshot, timeout)
         .expect("adopt");
     // A pre-cut retransmission is absorbed by the shipped dedup state;
     // the next fresh reading lands.
-    assert!(matches!(
-        v1_exchange(&dst_addr, 1, 0, 300),
-        Message::Ack { .. }
-    ));
-    assert!(matches!(
-        v1_exchange(&dst_addr, 1, moved_seq, tail_time),
-        Message::Ack { .. }
-    ));
+    assert_eq!(offer(&dst_addr, 1, 0, 300).acked, 1);
+    assert_eq!(offer(&dst_addr, 1, moved_seq, tail_time).acked, 1);
 
     sentinet_gateway::probe_migrate_done(&src_addr, 1, 2, cursor, timeout).expect("done");
     assert!(
@@ -584,8 +578,10 @@ fn live_range_migration_moves_a_sensor_between_servers() {
         "completion must clear the staged outbox copy"
     );
 
-    shut_down(&src_addr);
-    shut_down(&dst_addr);
+    for addr in [src_addr, dst_addr] {
+        let uplink = PipelinedUplink::new(PipelinedConfig::new(addr));
+        uplink.finish().expect("fin/finack");
+    }
     let src_report = src_thread.join().expect("src thread");
     let dst_report = dst_thread.join().expect("dst thread");
     // Nothing is lost or double-counted across the cut: readings of

@@ -3,34 +3,34 @@
 //! (drop the connection here, swallow an ack there), and the uplink's
 //! [`UplinkStats`] must come out exactly right — every retransmit,
 //! reconnect and timeout attributed, nothing swallowed by the retry
-//! loop. The stop-and-wait `SensorUplink` and the pipelined
-//! `PipelinedUplink` (whose window goes out as one coalesced write)
-//! are both covered.
+//! loop. The scripted tests run the `PipelinedUplink` one batch at a
+//! time (one reading per batch, a one-batch credit window), so each
+//! scripted fault lands on exactly one batch; the windowed test cuts
+//! a whole window that went out as one coalesced write.
 
 use sentinet_gateway::frame::{encode_frame, PROTOCOL_VERSION};
-use sentinet_gateway::{
-    FrameBuffer, Message, PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig,
-};
+use sentinet_gateway::{FrameBuffer, Message, PipelinedConfig, PipelinedUplink};
 use sentinet_sim::SensorId;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// What the scripted server does after reading one `Data` frame,
-/// keyed by the global (retransmissions included) data-frame count.
+/// What the scripted server does after reading one `DataBatch` frame,
+/// keyed by the global (retransmissions included) batch count.
 #[derive(Clone, Copy, PartialEq)]
 enum Script {
-    /// Ack the frame normally.
+    /// Ack the batch normally.
     Ack,
     /// Close the connection without acking (abrupt server death).
     Close,
-    /// Swallow the frame: no ack, connection stays up (slow server).
+    /// Swallow the batch: no ack, connection stays up (slow server).
     Swallow,
 }
 
-/// Serves connections off `listener`, following `script` per data
-/// frame read (frames beyond the script are acked). Returns after
-/// `Fin`, yielding the total number of data frames read.
+/// Serves connections off `listener`, granting one credit per
+/// connection and following `script` per batch read (batches beyond
+/// the script are acked). Returns after `Fin`, yielding the total
+/// number of batches read.
 fn scripted_server(listener: TcpListener, script: Vec<Script>) -> u64 {
     let mut data_reads = 0u64;
     let mut buf = [0u8; 4096];
@@ -46,8 +46,20 @@ fn scripted_server(listener: TcpListener, script: Vec<Script>) -> u64 {
             loop {
                 match fb.next_message().expect("well-formed client frame") {
                     None => break,
-                    Some(Message::Data { sensor, seq, .. }) => {
+                    Some(Message::Hello { .. }) => stream
+                        .write_all(&encode_frame(&Message::HelloAck {
+                            version: PROTOCOL_VERSION,
+                            credits: 1,
+                            watermark_delay: 1800,
+                        }))
+                        .expect("write hello-ack"),
+                    Some(Message::DataBatch {
+                        sensor,
+                        first_seq,
+                        readings,
+                    }) => {
                         data_reads += 1;
+                        let seq = first_seq + readings.len() as u64 - 1;
                         let action = script
                             .get(data_reads as usize - 1)
                             .copied()
@@ -56,7 +68,7 @@ fn scripted_server(listener: TcpListener, script: Vec<Script>) -> u64 {
                             Script::Close => continue 'conns,
                             Script::Swallow => {}
                             Script::Ack => stream
-                                .write_all(&encode_frame(&Message::Ack { sensor, seq }))
+                                .write_all(&encode_frame(&Message::AckUpTo { sensor, seq }))
                                 .expect("write ack"),
                         }
                     }
@@ -66,7 +78,6 @@ fn scripted_server(listener: TcpListener, script: Vec<Script>) -> u64 {
                             .expect("write finack");
                         return data_reads;
                     }
-                    // Hello (per connection) needs no reply on v1.
                     Some(_) => {}
                 }
             }
@@ -75,24 +86,27 @@ fn scripted_server(listener: TcpListener, script: Vec<Script>) -> u64 {
     unreachable!("listener closed before Fin");
 }
 
-fn drill_uplink(addr: String) -> SensorUplink {
-    let mut config = UplinkConfig::new(addr);
-    config.ack_timeout = Duration::from_millis(250);
-    config.max_attempts = 8;
-    config.backoff_base = Duration::from_millis(2);
-    config.backoff_cap = Duration::from_millis(10);
-    config.jitter_pct = 0;
-    SensorUplink::new(config)
+/// An uplink sealing every reading as its own batch.
+fn drill_uplink(addr: String) -> PipelinedUplink {
+    let mut config = PipelinedConfig::new(addr);
+    config.transport.ack_timeout = Duration::from_millis(250);
+    config.transport.max_attempts = 8;
+    config.transport.backoff_base = Duration::from_millis(2);
+    config.transport.backoff_cap = Duration::from_millis(10);
+    config.transport.jitter_pct = 0;
+    config.batch_size = 1;
+    PipelinedUplink::new(config)
 }
 
-/// Sends `count` readings, asserting every send is eventually acked.
-fn send_all(uplink: &mut SensorUplink, count: u64) {
+/// Sends `count` readings and waits until every one is acked.
+fn send_all(uplink: &mut PipelinedUplink, count: u64) {
     for i in 0..count {
         let t = 300 * (i + 1);
         uplink
             .send(SensorId(0), t, &[20.0 + i as f64])
-            .expect("send acked");
+            .expect("send");
     }
+    uplink.flush().expect("every batch acked");
 }
 
 #[test]
@@ -126,7 +140,7 @@ fn three_scripted_disconnects_are_counted_exactly() {
         "closes are detected as EOF, not by the ack deadline"
     );
     assert_eq!(stats.nacks, 0);
-    assert_eq!(stats.acked, 10, "every reading acked exactly once");
+    assert_eq!(stats.acked, 10, "every batch acked exactly once");
 
     uplink.finish().expect("fin/finack");
     assert_eq!(server.join().expect("server thread"), 13);
@@ -165,7 +179,7 @@ fn swallowed_acks_surface_as_timeouts_not_reconnects() {
     assert_eq!(server.join().expect("server thread"), 7);
 }
 
-/// A v2 server for one pipelined uplink. It grants `credits` in the
+/// A server for one pipelined uplink. It grants `credits` in the
 /// `HelloAck`. On the first connection it waits for `window`
 /// `DataBatch` frames, acks only the first one, and drops the
 /// connection. On later connections it acks every batch as it
@@ -190,6 +204,7 @@ fn windowed_server(listener: TcpListener, credits: u32, window: u64) -> u64 {
                         .write_all(&encode_frame(&Message::HelloAck {
                             version: PROTOCOL_VERSION,
                             credits,
+                            watermark_delay: 1800,
                         }))
                         .expect("write hello-ack"),
                     Message::DataBatch {

@@ -7,8 +7,8 @@
 //! sensor counts that are not monotone non-decreasing across rows.
 //! `ingest` rows (gateway loopback throughput) must also name their
 //! `fsync` policy, `retention` setting (`off` or the WAL byte
-//! budget), and `batch` shape (`off` for the stop-and-wait uplink or
-//! `<batch>x<window>` for the pipelined one), and are exempt from the
+//! budget), and the uplink's `batch` shape (`<batch>x<window>`, two
+//! positive integers), and are exempt from the
 //! sensors-monotone rule — they are appended after the sensor sweep
 //! rather than sorted into it. When any ingest rows are present the
 //! document must also carry an `ingest_stages` object breaking one
@@ -289,6 +289,15 @@ const ROW_KEYS: &[&str] = &[
     "speedup_vs_serial",
 ];
 
+/// Whether `shape` is an uplink batch shape `<batch>x<window>`: two
+/// positive integers.
+fn is_batch_shape(shape: &str) -> bool {
+    let positive = |n: &str| n.parse::<u64>().is_ok_and(|n| n > 0);
+    shape
+        .split_once('x')
+        .is_some_and(|(batch, window)| positive(batch) && positive(window))
+}
+
 /// Validates the bench report, returning every schema violation.
 pub fn validate(input: &str) -> Vec<String> {
     let mut problems = Vec::new();
@@ -392,9 +401,12 @@ pub fn validate(input: &str) -> Vec<String> {
                 )),
             }
             match row.get("batch") {
-                Some(Json::Str(shape)) if !shape.is_empty() => {}
+                Some(Json::Str(shape)) if is_batch_shape(shape) => {}
+                Some(Json::Str(shape)) => problems.push(format!(
+                    "results[{i}].batch must be <batch>x<window>, got {shape:?}"
+                )),
                 Some(v) => problems.push(format!(
-                    "results[{i}].batch must be a non-empty string, got {}",
+                    "results[{i}].batch must be a string, got {}",
                     v.type_name()
                 )),
                 None => problems.push(format!(
@@ -598,6 +610,17 @@ mod tests {
             !problems.iter().any(|p| p.contains("monotone")),
             "{problems:?}"
         );
+
+        // The batch shape is the uplink's `<batch>x<window>`.
+        for bad in ["off", "256", "0x32", "256xall"] {
+            let d = doc_with_stages(&[row(100, "serial"), ingest_row(10)])
+                .replace("\"256x32\"", &format!("\"{bad}\""));
+            let problems = validate(&d);
+            assert!(
+                problems.iter().any(|p| p.contains("<batch>x<window>")),
+                "{bad}: {problems:?}"
+            );
+        }
     }
 
     #[test]

@@ -47,10 +47,9 @@
 //!
 //! The ack-after-durable rule of the pipelined protocol gets its own
 //! dataflow pass (`ack-ordering`): a function body that constructs a
-//! `Message::Ack` or `Message::AckUpTo` and also writes to the wire
-//! (`write_all`) must check durability first — an earlier
-//! `synced_cursor`/`sync_wal` consultation or a v1 `.deliver(` call
-//! (which is durable-before-return by contract) on the same path.
+//! `Message::AckUpTo` and also writes to the wire (`write_all`) must
+//! check durability first — an earlier `synced_cursor`/`sync_wal`
+//! consultation on the same path.
 //! Anything else is the eager-ack bug the protocol model checker
 //! (`xtask protocol-check`) exists to catch. And suppression hygiene
 //! is enforced by `stale-suppression`: a well-formed `sentinet-allow`
@@ -86,12 +85,11 @@ pub const LINTS: &[&str] = &[
 
 /// Needles whose word-bounded occurrence in a fn body marks an ack
 /// construction (or pattern) the `ack-ordering` lint anchors on.
-const ACK_NEEDLES: &[&str] = &["Message::Ack", "Message::AckUpTo"];
+const ACK_NEEDLES: &[&str] = &["Message::AckUpTo"];
 
 /// Occurrences that dominate an ack release: consulting the fsync
-/// watermark, forcing it, or the v1 `.deliver(` path (durable before
-/// it returns, by contract).
-const ACK_DOMINATORS: &[&str] = &["synced_cursor", "sync_wal", ".deliver("];
+/// watermark or forcing it.
+const ACK_DOMINATORS: &[&str] = &["synced_cursor", "sync_wal"];
 
 /// Functions that must stay lexically allocation-free, keyed by a path
 /// suffix of the file that defines them. These are the PR-1 hot paths:
@@ -897,13 +895,14 @@ mod tests {
         // A `synced_cursor` comparison before the ack dominates it: silent.
         let synced = "fn reply(w: &mut W) {\n    if cursor > self.synced_cursor() { return; }\n    let f = encode(Message::AckUpTo { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
         assert!(run(synced).iter().all(|f| f.lint != "ack-ordering"));
-        // `.deliver(` ahead of a per-reading Ack also dominates (the
-        // collector syncs before reporting an ack cursor).
-        let delivered = "fn reply(w: &mut W) {\n    let out = self.collector.deliver(&r);\n    let f = encode(Message::Ack { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
-        assert!(run(delivered).iter().all(|f| f.lint != "ack-ordering"));
+        // Admission alone is not durability: `deliver_batch` ahead of the
+        // ack does not dominate it.
+        let delivered = "fn reply(w: &mut W) {\n    let out = self.collector.deliver_batch(&r);\n    let f = encode(Message::AckUpTo { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
+        let f = run(delivered);
+        assert_eq!(f.iter().filter(|f| f.lint == "ack-ordering").count(), 1);
         // Constructing the message without writing it is not a release.
         let no_write =
-            "fn queue(&mut self) {\n    self.pending.push(Message::Ack { sensor, seq });\n}\n";
+            "fn queue(&mut self) {\n    self.pending.push(Message::AckUpTo { sensor, seq });\n}\n";
         assert!(run(no_write).iter().all(|f| f.lint != "ack-ordering"));
     }
 

@@ -16,7 +16,7 @@ Commands:
                                over the given files only
   model-check                  exhaustively explore shard schedules and
                                assert serial equivalence
-  protocol-check               exhaustively explore v2 uplink interleavings
+  protocol-check               exhaustively explore uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
   bench-check [FILE]           validate BENCH_engine.json (default) or FILE

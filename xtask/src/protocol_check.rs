@@ -1,8 +1,7 @@
 //! Exhaustive protocol/durability model checker for the pipelined
-//! (protocol v2) uplink.
+//! uplink.
 //!
-//! The pipelined protocol replaced stop-and-wait with a concurrent
-//! state machine — credit windows, cumulative `AckUpTo` acks, a
+//! The pipelined protocol is a concurrent state machine — credit windows, cumulative `AckUpTo` acks, a
 //! group-commit WAL whose fsync watermark gates ack release — and its
 //! correctness is otherwise covered only by *sampled* proptests. This
 //! module closes the gap the way the shard-schedule checker
