@@ -13,7 +13,7 @@
 //! fixed keywords) so no external CSV crate is needed.
 
 use crate::sanitize::{IngestReport, RawRecord, Sanitizer};
-use crate::types::{Payload, Reading, SensorId, Trace, TraceRecord};
+use crate::types::{Payload, Reading, SensorId, Timestamp, Trace, TraceRecord};
 use std::error::Error as StdError;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -99,83 +99,104 @@ pub fn write_trace<W: Write>(trace: &Trace, dims: usize, mut w: W) -> Result<(),
     Ok(())
 }
 
-/// One parsed CSV row before validation: either a delivered reading
-/// with raw (not yet finite-checked) values, or a lost/malformed stub.
-enum ParsedRow {
-    Delivered(RawRecord),
+/// One data row, syntactically valid. A delivered row's values are
+/// raw (not yet finite-checked) and borrowed from the reader's scratch;
+/// the consumer copies them out once, at exact length.
+enum Row<'a> {
+    Delivered {
+        time: Timestamp,
+        sensor: SensorId,
+        values: &'a [f64],
+    },
     Stub(TraceRecord),
 }
 
-/// Parses the syntactic layer of one data row; value semantics
-/// (finiteness, ordering) are left to the caller.
-fn parse_row(lineno: usize, line: &str) -> Result<ParsedRow, CsvError> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() < 3 {
-        return Err(CsvError::Parse {
-            line: lineno,
-            reason: "fewer than 3 fields".into(),
-        });
-    }
-    let time: u64 = fields[0].parse().map_err(|e| CsvError::Parse {
-        line: lineno,
-        reason: format!("bad time {:?}: {e}", fields[0]),
-    })?;
-    let sensor: u16 = fields[1].parse().map_err(|e| CsvError::Parse {
-        line: lineno,
-        reason: format!("bad sensor {:?}: {e}", fields[1]),
-    })?;
-    match fields[2] {
-        "ok" => {
-            let mut values = Vec::with_capacity(fields.len() - 3);
-            for f in &fields[3..] {
-                values.push(f.parse::<f64>().map_err(|e| CsvError::Parse {
-                    line: lineno,
-                    reason: format!("bad value {f:?}: {e}"),
-                })?);
-            }
-            Ok(ParsedRow::Delivered(RawRecord {
-                time,
-                sensor: SensorId(sensor),
-                values,
-            }))
-        }
-        "lost" => Ok(ParsedRow::Stub(TraceRecord {
-            time,
-            sensor: SensorId(sensor),
-            payload: Payload::Lost,
-        })),
-        "malformed" => Ok(ParsedRow::Stub(TraceRecord {
-            time,
-            sensor: SensorId(sensor),
-            payload: Payload::Malformed,
-        })),
-        other => Err(CsvError::Parse {
-            line: lineno,
-            reason: format!("unknown status {other:?}"),
-        }),
-    }
+fn parse_error(line: usize, reason: String) -> CsvError {
+    CsvError::Parse { line, reason }
 }
 
-fn parse_rows<R: BufRead>(r: R) -> Result<Vec<(usize, ParsedRow)>, CsvError> {
-    let mut rows = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
-        if idx == 0 {
+/// Parses the syntactic layer of one data row into `values`; value
+/// semantics (finiteness, ordering) are left to the caller.
+fn parse_row<'a>(lineno: usize, line: &str, values: &'a mut Vec<f64>) -> Result<Row<'a>, CsvError> {
+    let mut fields = line.split(',');
+    let (Some(time), Some(sensor), Some(status)) = (fields.next(), fields.next(), fields.next())
+    else {
+        return Err(parse_error(lineno, "fewer than 3 fields".into()));
+    };
+    let time: Timestamp = time
+        .parse()
+        .map_err(|e| parse_error(lineno, format!("bad time {time:?}: {e}")))?;
+    let sensor = SensorId(
+        sensor
+            .parse()
+            .map_err(|e| parse_error(lineno, format!("bad sensor {sensor:?}: {e}")))?,
+    );
+    let payload = match status {
+        "ok" => {
+            values.clear();
+            for f in fields {
+                values.push(
+                    f.parse()
+                        .map_err(|e| parse_error(lineno, format!("bad value {f:?}: {e}")))?,
+                );
+            }
+            return Ok(Row::Delivered {
+                time,
+                sensor,
+                values,
+            });
+        }
+        "lost" => Payload::Lost,
+        "malformed" => Payload::Malformed,
+        other => return Err(parse_error(lineno, format!("unknown status {other:?}"))),
+    };
+    Ok(Row::Stub(TraceRecord {
+        time,
+        sensor,
+        payload,
+    }))
+}
+
+/// The one reader loop behind [`read_trace`] and
+/// [`read_trace_sanitized`]: checks the header, skips blank lines and
+/// hands every data row to `on_row` with its 1-based line number, in a
+/// single pass over one reused line buffer. Line endings are stripped
+/// as [`BufRead::lines`] strips them, and a line that is not UTF-8 is a
+/// [`CsvError::Io`] of kind `InvalidData`. The first syntax or I/O
+/// error ends the read.
+fn read_rows<R: BufRead>(mut r: R, mut on_row: impl FnMut(usize, Row<'_>)) -> Result<(), CsvError> {
+    let mut buf = Vec::new();
+    let mut values = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        if lineno == 1 {
             if !line.starts_with("time,sensor,status") {
-                return Err(CsvError::Parse {
-                    line: lineno,
-                    reason: format!("unexpected header {line:?}"),
-                });
+                return Err(parse_error(lineno, format!("unexpected header {line:?}")));
             }
             continue;
         }
         if line.trim().is_empty() {
             continue;
         }
-        rows.push((lineno, parse_row(lineno, &line)?));
+        on_row(lineno, parse_row(lineno, line, &mut values)?);
     }
-    Ok(rows)
 }
 
 /// Reads a trace from `r` (the dialect produced by [`write_trace`]).
@@ -186,6 +207,9 @@ fn parse_rows<R: BufRead>(r: R) -> Result<Vec<(usize, ParsedRow)>, CsvError> {
 /// [`read_trace_sanitized`] to degrade gracefully instead of failing
 /// the whole file.
 ///
+/// A syntax error anywhere in the file is reported in preference to a
+/// semantic error on an earlier line.
+///
 /// # Errors
 ///
 /// - [`CsvError::Io`] on read failure.
@@ -193,31 +217,41 @@ fn parse_rows<R: BufRead>(r: R) -> Result<Vec<(usize, ParsedRow)>, CsvError> {
 ///   status keyword, non-numeric values, and non-finite values.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, CsvError> {
     let mut records = Vec::new();
-    for (lineno, row) in parse_rows(r)? {
-        match row {
-            ParsedRow::Delivered(raw) => {
-                if raw.values.is_empty() {
-                    return Err(CsvError::Parse {
-                        line: lineno,
-                        reason: "delivered record with no values".into(),
-                    });
-                }
-                if let Some(v) = raw.values.iter().find(|v| !v.is_finite()) {
-                    return Err(CsvError::Parse {
-                        line: lineno,
-                        reason: format!("non-finite value {v}"),
-                    });
-                }
-                records.push(TraceRecord {
-                    time: raw.time,
-                    sensor: raw.sensor,
-                    payload: Payload::Delivered(Reading::new(raw.values)),
-                });
-            }
-            ParsedRow::Stub(record) => records.push(record),
+    // Held until the whole file has parsed, so that a later syntax
+    // error still wins.
+    let mut semantic = None;
+    read_rows(r, |lineno, row| {
+        if semantic.is_some() {
+            return;
         }
+        match row {
+            Row::Stub(record) => records.push(record),
+            Row::Delivered {
+                time,
+                sensor,
+                values,
+            } => {
+                if values.is_empty() {
+                    semantic = Some(parse_error(
+                        lineno,
+                        "delivered record with no values".into(),
+                    ));
+                } else if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+                    semantic = Some(parse_error(lineno, format!("non-finite value {v}")));
+                } else {
+                    records.push(TraceRecord {
+                        time,
+                        sensor,
+                        payload: Payload::Delivered(Reading::new(values.to_vec())),
+                    });
+                }
+            }
+        }
+    })?;
+    match semantic {
+        Some(e) => Err(e),
+        None => Ok(Trace::from_records(records)),
     }
-    Ok(Trace::from_records(records))
 }
 
 /// Reads a trace from `r`, routing delivered rows through the ingest
@@ -235,18 +269,24 @@ pub fn read_trace_sanitized<R: BufRead>(r: R) -> Result<(Trace, IngestReport), C
     let mut sanitizer = Sanitizer::new();
     let mut report = IngestReport::default();
     let mut records = Vec::new();
-    for (_, row) in parse_rows(r)? {
-        match row {
-            ParsedRow::Delivered(raw) => match sanitizer.accept(raw) {
-                Ok(record) => {
-                    records.push(record);
-                    report.accepted += 1;
-                }
-                Err(e) => report.rejected.push(e),
-            },
-            ParsedRow::Stub(record) => records.push(record),
-        }
-    }
+    read_rows(r, |_, row| match row {
+        Row::Delivered {
+            time,
+            sensor,
+            values,
+        } => match sanitizer.accept(RawRecord {
+            time,
+            sensor,
+            values: values.to_vec(),
+        }) {
+            Ok(record) => {
+                records.push(record);
+                report.accepted += 1;
+            }
+            Err(e) => report.rejected.push(e),
+        },
+        Row::Stub(record) => records.push(record),
+    })?;
     Ok((Trace::from_records(records), report))
 }
 
@@ -356,6 +396,67 @@ mod tests {
         assert_eq!(report.rejected.len(), 2); // duplicate + NaN
         assert_eq!(trace.delivered().count(), 2);
         assert_eq!(trace.len(), 3); // the lost stub passes through
+    }
+
+    #[test]
+    fn crlf_file_parses_equal_to_its_lf_twin() {
+        let mut lf = Vec::new();
+        write_trace(&sample_trace(), 2, &mut lf).unwrap();
+        let crlf = String::from_utf8(lf.clone()).unwrap().replace('\n', "\r\n");
+        assert_eq!(
+            read_trace(crlf.as_bytes()).unwrap(),
+            read_trace(&lf[..]).unwrap()
+        );
+        assert_eq!(
+            read_trace_sanitized(crlf.as_bytes()).unwrap(),
+            read_trace_sanitized(&lf[..]).unwrap()
+        );
+    }
+
+    #[test]
+    fn non_utf8_is_an_invalid_data_io_error() {
+        let data = b"time,sensor,status,v0\n300,0,ok,1.0\n600,0,ok,\xff\n";
+        for err in [
+            read_trace(&data[..]).unwrap_err(),
+            read_trace_sanitized(&data[..]).unwrap_err(),
+        ] {
+            match err {
+                CsvError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("expected an i/o error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn header_only_file_is_an_empty_trace() {
+        let data = "time,sensor,status,v0,v1\n";
+        assert!(read_trace(data.as_bytes()).unwrap().is_empty());
+        let (trace, report) = read_trace_sanitized(data.as_bytes()).unwrap();
+        assert!(trace.is_empty());
+        assert_eq!(report, IngestReport::default());
+    }
+
+    #[test]
+    fn final_line_without_newline_is_read() {
+        let data = "time,sensor,status,v0\n300,0,ok,1.5\n600,0,ok,2.5";
+        let t = read_trace(data.as_bytes()).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.records()[1].time, 600);
+    }
+
+    #[test]
+    fn strict_reader_reports_a_later_syntax_error_first() {
+        let data = "time,sensor,status,v0\n300,0,ok,NaN\n600,0,weird,1\n";
+        let err = read_trace(data.as_bytes()).unwrap_err();
+        assert!(matches!(err, CsvError::Parse { line: 3, .. }), "{err}");
+        assert!(
+            err.to_string().contains("unknown status \"weird\""),
+            "{err}"
+        );
+        // Without the syntax error, the semantic one is reported.
+        let data = "time,sensor,status,v0\n300,0,ok,NaN\n600,0,ok,1\n";
+        let err = read_trace(data.as_bytes()).unwrap_err();
+        assert!(matches!(err, CsvError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! ingest output depend on buffering, breaking replay determinism.
 
 use crate::types::{Payload, Reading, SensorId, Timestamp, Trace, TraceRecord};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One raw record as it arrives off the wire, before validation.
@@ -155,7 +154,8 @@ impl IngestReport {
 /// back well-formed [`TraceRecord`]s or typed rejections.
 #[derive(Debug, Default)]
 pub struct Sanitizer {
-    latest: BTreeMap<SensorId, Timestamp>,
+    /// Latest accepted timestamp, indexed by sensor id.
+    latest: Vec<Option<Timestamp>>,
     dims: Option<usize>,
 }
 
@@ -178,7 +178,10 @@ impl Sanitizer {
     /// Captures the sanitizer's history for checkpointing.
     pub fn snapshot(&self) -> SanitizerSnapshot {
         SanitizerSnapshot {
-            latest: self.latest.iter().map(|(&s, &t)| (s, t)).collect(),
+            latest: (0..=u16::MAX)
+                .zip(&self.latest)
+                .filter_map(|(s, t)| t.map(|t| (SensorId(s), t)))
+                .collect(),
             dims: self.dims,
         }
     }
@@ -186,10 +189,23 @@ impl Sanitizer {
     /// Rebuilds a sanitizer from a snapshot; accept/reject decisions
     /// continue exactly as the captured instance's would.
     pub fn from_snapshot(snapshot: SanitizerSnapshot) -> Self {
-        Self {
-            latest: snapshot.latest.into_iter().collect(),
+        let mut sanitizer = Self {
+            latest: Vec::new(),
             dims: snapshot.dims,
+        };
+        for (sensor, time) in snapshot.latest {
+            *sanitizer.slot(sensor) = Some(time);
         }
+        sanitizer
+    }
+
+    /// The history slot of `sensor`, grown on first sight.
+    fn slot(&mut self, sensor: SensorId) -> &mut Option<Timestamp> {
+        let index = usize::from(sensor.0);
+        if index >= self.latest.len() {
+            self.latest.resize(index + 1, None);
+        }
+        &mut self.latest[index]
     }
 
     /// Validates one delivered record. On success the record is
@@ -227,11 +243,12 @@ impl Sanitizer {
                 });
             }
         }
-        match self.latest.get(&sensor) {
-            Some(&latest) if time == latest => {
+        let slot = self.slot(sensor);
+        match *slot {
+            Some(latest) if time == latest => {
                 return Err(IngestError::DuplicateTimestamp { time, sensor });
             }
-            Some(&latest) if time < latest => {
+            Some(latest) if time < latest => {
                 return Err(IngestError::OutOfOrder {
                     time,
                     sensor,
@@ -240,8 +257,8 @@ impl Sanitizer {
             }
             _ => {}
         }
+        *slot = Some(time);
         self.dims.get_or_insert(values.len());
-        self.latest.insert(sensor, time);
         Ok(TraceRecord {
             time,
             sensor,
@@ -388,6 +405,40 @@ mod tests {
             Err(IngestError::DimensionMismatch { .. })
         ));
         assert!(restored.accept(raw(900, 0, vec![5.0, 6.0])).is_ok());
+    }
+
+    #[test]
+    fn sparse_and_high_ids_snapshot_in_ascending_order() {
+        let mut s = Sanitizer::new();
+        for sensor in [65535, 7, 0] {
+            s.accept(raw(600, sensor, vec![1.0])).unwrap();
+        }
+        s.accept(raw(900, 7, vec![2.0])).unwrap();
+        let snap = s.snapshot();
+        assert_eq!(
+            snap.latest,
+            vec![
+                (SensorId(0), 600),
+                (SensorId(7), 900),
+                (SensorId(65535), 600)
+            ]
+        );
+        let mut restored = Sanitizer::from_snapshot(snap.clone());
+        assert_eq!(restored.snapshot(), snap);
+        for (time, sensor) in [
+            (600, 0),
+            (600, 7),
+            (600, 65535),
+            (900, 0),
+            (900, 7),
+            (600, 3),
+        ] {
+            assert_eq!(
+                restored.accept(raw(time, sensor, vec![3.0])),
+                s.accept(raw(time, sensor, vec![3.0])),
+                "t={time} sensor{sensor}"
+            );
+        }
     }
 
     #[test]

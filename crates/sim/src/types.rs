@@ -148,8 +148,13 @@ impl Trace {
     }
 
     /// Creates a trace from records, sorting them by (time, sensor).
+    /// Records already in that order are kept as they are, without the
+    /// sort's scratch buffer.
     pub fn from_records(mut records: Vec<TraceRecord>) -> Self {
-        records.sort_by_key(|r| (r.time, r.sensor));
+        let key = |r: &TraceRecord| (r.time, r.sensor);
+        if !records.is_sorted_by_key(key) {
+            records.sort_by_key(key);
+        }
         Self { records }
     }
 

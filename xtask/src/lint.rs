@@ -92,13 +92,15 @@ const ACK_NEEDLES: &[&str] = &["Message::AckUpTo"];
 const ACK_DOMINATORS: &[&str] = &["synced_cursor", "sync_wal"];
 
 /// Functions that must stay lexically allocation-free, keyed by a path
-/// suffix of the file that defines them. These are the PR-1 hot paths:
-/// the steady-state ingest/window/update code the benches measure.
+/// suffix of the file that defines them: the steady-state
+/// window/update code the benches measure, and the per-record ingest
+/// sanitizer every read and every live admission goes through.
 pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ("core/src/window.rs", &["push", "trimmed_mean_with"]),
     ("core/src/pipeline.rs", &["push_values"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
+    ("sim/src/sanitize.rs", &["accept"]),
 ];
 
 /// Allocation markers searched inside hot-path function bodies.
@@ -832,6 +834,12 @@ mod tests {
             "fn push(&mut self) { let v = x.to_vec(); }\nfn other() { let w = y.to_vec(); }\n";
         let f = lint_source(Path::new("w.rs"), src, &c);
         assert_eq!(f.iter().filter(|f| f.lint == "hot-path-alloc").count(), 1);
+    }
+
+    #[test]
+    fn sanitizer_accept_is_a_registered_hot_path() {
+        let ctx = FileContext::for_path(Path::new("crates/sim/src/sanitize.rs"));
+        assert_eq!(ctx.hot_functions, vec!["accept".to_string()]);
     }
 
     #[test]
